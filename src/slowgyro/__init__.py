@@ -17,8 +17,8 @@ from .params import (NA23, RB87, AtomSpecies, DerivedScales,
 from .polariton import (PolaritonState, Susceptibility, absorption_bound,
                         group_velocity, mixing_angle, polariton_state,
                         susceptibility, xi_approx, xi_exact)
-from .propagation import (BACKEND, PropagationGrid, PropagationResult,
-                          RingMedium, bare_sagnac_phase, propagate_allorder,
+from .propagation import (PropagationGrid, PropagationResult, RingMedium,
+                          bare_sagnac_phase, propagate_allorder,
                           propagate_weak, signal_phase)
 from .ringmodes import (MediumPreparation, Preparation, ground_mode,
                         matter_term_gate, mode_energy, n_min, thermal_phase)

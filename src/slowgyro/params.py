@@ -14,8 +14,7 @@ so there is exactly one canonical unit system.
 import math
 from dataclasses import dataclass, field
 
-from scipy.constants import c, epsilon_0, hbar
-
+from ._constants import c, epsilon_0, hbar
 from .errors import ParameterError
 
 __all__ = [

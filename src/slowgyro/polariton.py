@@ -26,8 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.constants import c
-
+from ._constants import c
 from .errors import EITConditionWarning, ParameterError
 
 __all__ = [

@@ -22,39 +22,22 @@ Sign and normalization conventions, fixed once here:
 Counter-propagation is modeled by flipping the sign of the rotation rate
 in the co-rotating equations; both directions run through the same
 integrator.
-
-The inner integration loop is the hot path of every sweep; it runs in a
-compiled extension when available and in a pure-Python twin otherwise
-(see BACKEND, forced with SLOWGYRO_PURE=1).
 """
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c, epsilon_0, hbar
-from scipy.integrate import simpson
 
+from ._constants import c, epsilon_0, hbar
 from .errors import IntegrationError, ParameterError, WeakFieldWarning
 from .params import (RB87, AtomSpecies, ProbeControlFields, RingGeometry,
                      all_scales)
 from .polariton import PolaritonState, polariton_state
 from .ringmodes import MediumPreparation, matter_term_gate
 
-if os.environ.get("SLOWGYRO_PURE"):
-    from . import _ringprop_py as _kernel
-else:
-    try:
-        from . import _ringprop as _kernel
-    except ImportError:
-        from . import _ringprop_py as _kernel
-
-BACKEND = _kernel.BACKEND
-
 __all__ = [
-    "BACKEND",
     "PropagationGrid",
     "RingMedium",
     "PropagationResult",
@@ -263,10 +246,54 @@ def propagate_weak(medium: RingMedium, prep: MediumPreparation,
     )
 
 
+def _require_full_transfer(medium: RingMedium, what: str):
+    """The saturating susceptibility holds only for full momentum transfer
+    (eta = 1); refuse other media rather than answer for a different model."""
+    if abs(medium.eta - 1.0) > 1e-9:
+        raise ParameterError(
+            f"{what} requires eta = 1 (perpendicular control), got "
+            f"eta = {medium.eta}")
+
+
+def _rhs(y, loss, pref, tan2, rc2, vrec_c, gate):
+    s = math.exp(2.0 * y.real) / rc2
+    d1 = 1.0 + s
+    sat2 = tan2 / (d1 * d1)
+    sat3 = sat2 / d1
+    return complex(-loss, pref * (1.0 + gate * sat2) / (1.0 + vrec_c * sat3))
+
+
+def _rk4(y0, h, n_steps, loss, pref, tan2, rc2, vrec_c, gate):
+    """Integrate d/dx ln(rabi_p) = -loss + i*k_p*chi'(s) over n_steps of
+    size h with fixed-step fourth-order Runge-Kutta, re-evaluating the
+    saturation s from the local amplitude.
+
+    Returns (log-amplitude samples at the n_steps+1 grid points,
+    largest per-step increment |h * dy/dx| seen).
+    """
+    out = np.empty(n_steps + 1, dtype=complex)
+    y = complex(y0)
+    out[0] = y
+    max_step = 0.0
+    for i in range(n_steps):
+        k1 = _rhs(y, loss, pref, tan2, rc2, vrec_c, gate)
+        k2 = _rhs(y + 0.5 * h * k1, loss, pref, tan2, rc2, vrec_c, gate)
+        k3 = _rhs(y + 0.5 * h * k2, loss, pref, tan2, rc2, vrec_c, gate)
+        k4 = _rhs(y + h * k3, loss, pref, tan2, rc2, vrec_c, gate)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+        step = abs(h * k1)
+        if step > max_step:
+            max_step = step
+    return out, max_step
+
+
 def _integrate_beam(medium: RingMedium, gate: float, rotation_rate: float,
                     rabi_p0: float, grid: PropagationGrid):
     """Run the kernel for one beam with automatic refinement and one
-    extra halving for the convergence certificate."""
+    extra halving for the convergence certificate.  Returns the samples on
+    the grid points, the beam phase, its Richardson error estimate, the
+    largest per-step change and the number of kernel steps per grid cell."""
     t2 = medium.tan2_theta
     loss = medium.atom.gamma13 * t2 / c
     pref = medium.fields.k_p * rotation_rate * medium.geometry.radius / c
@@ -278,8 +305,8 @@ def _integrate_beam(medium: RingMedium, gate: float, rotation_rate: float,
     refine = 1
     while True:
         h = grid.spacing / refine
-        y, max_step = _kernel.integrate(y0, h, n_cells * refine, loss, pref,
-                                        t2, rc2, vrec_c, gate)
+        y, max_step = _rk4(y0, h, n_cells * refine, loss, pref,
+                           t2, rc2, vrec_c, gate)
         if max_step <= MAX_STEP_CHANGE:
             break
         refine *= 2
@@ -292,13 +319,13 @@ def _integrate_beam(medium: RingMedium, gate: float, rotation_rate: float,
 
     # one more halving for the Richardson comparison; keep the finer result
     h2 = grid.spacing / (2 * refine)
-    y2, _ = _kernel.integrate(y0, h2, n_cells * 2 * refine, loss, pref,
-                              t2, rc2, vrec_c, gate)
+    y2, _ = _rk4(y0, h2, n_cells * 2 * refine, loss, pref,
+                 t2, rc2, vrec_c, gate)
     coarse = float((y[-1] - y[0]).imag)
     fine = float((y2[-1] - y2[0]).imag)
     samples = y2[:: 2 * refine]
     richardson = abs(fine - coarse) / 15.0
-    return samples, fine, richardson, max_step
+    return samples, fine, richardson, max_step, 2 * refine
 
 
 def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
@@ -310,10 +337,12 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     Fixed-step fourth-order integration with automatic substep refinement;
     the per-step change must stay below 0.1 or an IntegrationError with
     diagnostics is raised.  The result carries a Richardson convergence
-    estimate in diagnostics["richardson_phase"].
+    estimate in diagnostics["richardson_phase"].  Requires full momentum
+    transfer (eta = 1), as signal_phase does.
     """
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
+    _require_full_transfer(medium, "all-order propagation")
     if rabi_p0 is None:
         rabi_p0 = medium.fields.rabi_p0
     if rabi_p0 <= 0:
@@ -321,15 +350,16 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     gate = matter_term_gate(prep)
     omega = medium.geometry.rotation_rate
 
-    y_cw, phase_cw, rich_cw, step_cw = _integrate_beam(
+    y_cw, phase_cw, rich_cw, step_cw, substeps = _integrate_beam(
         medium, gate, omega, rabi_p0, grid)
-    y_ccw, phase_ccw, rich_ccw, _ = _integrate_beam(
+    y_ccw, phase_ccw, rich_ccw, _, _ = _integrate_beam(
         medium, gate, -omega, rabi_p0, grid)
 
     y_sel = y_cw if direction == 1 else y_ccw
     amp = np.exp(y_sel.real - y_sel.real[0])
     s_profile = np.exp(2.0 * y_sel.real) / medium.fields.rabi_c**2
-    light, matter = _split_phase(medium, gate, omega, s_profile, grid, direction)
+    light, matter = _split_phase(medium, gate, omega, s_profile, grid,
+                                 direction, substeps)
 
     return PropagationResult(
         phase_cw=phase_cw, phase_ccw=phase_ccw,
@@ -340,17 +370,27 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
         x=grid.x.copy(),
         phase_profile=(y_sel.imag - y_sel.imag[0]),
         amplitude_profile=amp,
-        diagnostics={"mode": "allorder", "gate": gate, "backend": BACKEND,
+        diagnostics={"mode": "allorder", "gate": gate,
                      "richardson_phase": max(rich_cw, rich_ccw),
                      "max_step": step_cw},
     )
 
 
-def _split_phase(medium, gate, rotation_rate, s_profile, grid, direction):
-    light_rate, matter_rate = _phase_rates(medium, s_profile, gate, rotation_rate)
-    light = direction * float(simpson(light_rate, x=grid.x))
-    matter = direction * float(simpson(matter_rate, x=grid.x))
-    return light, matter
+def _split_phase(medium, gate, rotation_rate, s_profile, grid, direction,
+                 substeps=1):
+    """Light and matter phase integrals over s(x) by the rule the RK4 kernel
+    applies to the beam phase: Simpson's rule with midpoints on each of
+    `substeps` equal steps per grid cell.  ln s is linear in x, so s inside
+    a cell follows exactly from its end values."""
+    t = np.linspace(0.0, 1.0, 2 * substeps + 1)
+    s = s_profile[:-1, None] ** (1.0 - t) * s_profile[1:, None] ** t
+    weights = np.ones(t.size)
+    weights[1::2] = 4.0
+    weights[2:-1:2] = 2.0
+    scale = direction * grid.spacing / (6.0 * substeps)
+    light_rate, matter_rate = _phase_rates(medium, s, gate, rotation_rate)
+    return (scale * float(np.sum(light_rate @ weights)),
+            scale * float(np.sum(matter_rate @ weights)))
 
 
 def signal_phase(medium: RingMedium, prep: MediumPreparation,
@@ -365,10 +405,7 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
     sensitivity optimization.  Requires full momentum transfer (eta = 1),
     the regime in which the saturating susceptibility holds.
     """
-    if abs(medium.eta - 1.0) > 1e-9:
-        raise ParameterError(
-            f"signal_phase requires eta = 1 (perpendicular control), got "
-            f"eta = {medium.eta}")
+    _require_full_transfer(medium, "signal_phase")
     if rabi_p0 is None:
         rabi_p0 = medium.fields.rabi_p0
     gate = matter_term_gate(prep)
@@ -380,6 +417,7 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
         kappa = medium.state(rabi_p0).kappa
         amp_ratio = math.exp(-kappa * medium.geometry.medium_length)
         amp_profile = np.exp(-kappa * grid.x)
+        light, matter = _split_phase(medium, gate, omega, s_profile, grid, 1)
         diag = {"mode": "signal-frozen", "gate": gate}
     else:
         base = propagate_allorder(medium, prep, grid, direction=1,
@@ -387,9 +425,9 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
         s_profile = base.s_profile
         amp_ratio = base.amplitude_ratio
         amp_profile = base.amplitude_profile
+        light, matter = base.light_part, base.matter_part
         diag = dict(base.diagnostics, mode="signal")
 
-    light, matter = _split_phase(medium, gate, omega, s_profile, grid, 1)
     beam = light + matter
     light_rate, matter_rate = _phase_rates(medium, s_profile, gate, omega)
     return PropagationResult(

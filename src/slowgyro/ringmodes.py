@@ -24,8 +24,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
+from ._constants import hbar, k_B
 from .errors import ParameterError, ThermalRegimeWarning
 
 __all__ = [

@@ -31,8 +31,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c, epsilon_0, hbar
 
+from ._constants import c, epsilon_0, hbar
 from .errors import BoundaryHitError, LowCountWarning, ParameterError
 from .params import NA23, RB87, REFERENCE_WAVELENGTHS
 
@@ -261,6 +261,8 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
         raise ParameterError(f"unknown case {name!r}; known: {sorted(CASE_PRESETS)}")
     if species not in _SPECIES:
         raise ParameterError(f"unknown species {species!r}; known: {sorted(_SPECIES)}")
+    if f_mode not in ("exact", "asymptotic"):
+        raise ParameterError(f"unknown f_mode {f_mode!r}")
     radius = CASE_PRESETS[key]["radius"]
     atom = _SPECIES[species]
     lambda_p = REFERENCE_WAVELENGTHS[species]

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slowgyro
 from slowgyro.cli import main, normalize_config
 
 
@@ -226,6 +230,31 @@ class TestSnrSweep:
         path = write_config(tmp_path, {"geometry.atom_density_per_m3": 0.0})
         code, _, err = run(["snr-sweep", "--config", path], capsys)
         assert code == 1
+
+
+class TestValidityDomain:
+    def test_partial_momentum_transfer_refused_by_both_commands(
+            self, tmp_path, capsys):
+        # k_c_parallel = 4e6 /m gives eta ~ 0.5, outside the saturating model
+        path = write_config(tmp_path, {"fields.k_c_parallel_per_m": 4e6})
+        for command in ("propagate", "phase"):
+            code, out, err = run([command, "--config", path], capsys)
+            assert code == 1, command
+            assert out == ""
+            assert "eta" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slowgyro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, slowgyro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestOptimize:

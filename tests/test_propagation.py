@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c, hbar
 
-from slowgyro import _ringprop_py
 from slowgyro.errors import IntegrationError, ParameterError, WeakFieldWarning
 from slowgyro.params import RB87, ProbeControlFields, rest_energy_ratio
-from slowgyro.propagation import (BACKEND, PropagationGrid, RingMedium,
+from slowgyro.propagation import (PropagationGrid, RingMedium,
                                   bare_sagnac_phase, dispersion_regime_check,
                                   propagate_allorder, propagate_weak,
                                   signal_phase, write_profile_csv)
@@ -305,20 +305,25 @@ class TestDispersionRegimeCheck:
             assert dispersion_regime_check(just_above.state0) is not None
 
 
-class TestBackends:
-    def test_active_backend_reported(self):
-        assert BACKEND in ("cython", "python")
+class TestKernelProperties:
+    """Over the operating ranges of a ring scan: the counter-propagating
+    beam is the exact mirror of the co-propagating one, and the light/matter
+    split integrates the same phase as the kernel."""
 
-    def test_twin_kernels_agree(self):
-        if BACKEND != "cython":
-            pytest.skip("compiled kernel not available")
-        from slowgyro import _ringprop
-        args = (complex(math.log(2e5), 0.0), 1e-4, 500, 0.8, 2.5,
-                3.7e4, 1e12, 2e-11, 1.0)
-        y_c, step_c = _ringprop.integrate(*args)
-        y_p, step_p = _ringprop_py.integrate(*args)
-        assert np.array_equal(y_c, y_p)
-        assert step_c == step_p
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(min_value=0.1, max_value=1e3),
+           xi_over_a=st.floats(min_value=0.5, max_value=20.0),
+           s0=st.floats(min_value=1e-3, max_value=10.0),
+           n=st.sampled_from([256, 1024, 4096]),
+           direction=st.sampled_from([1, -1]))
+    def test_mirror_and_split(self, a, xi_over_a, s0, n, direction):
+        medium = medium_for(a=a, xi=a * xi_over_a, s0=s0)
+        res = propagate_allorder(medium, SUPERFLUID, grid_for(medium, n),
+                                 direction=direction)
+        assert res.phase_ccw == -res.phase_cw
+        beam = res.phase_cw if direction == 1 else res.phase_ccw
+        assert res.light_part + res.matter_part == \
+            pytest.approx(beam, rel=1e-12, abs=0.0)
 
 
 class TestProfiles:

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy.constants import hbar
 
 from _oracles import brute_optimum
 from slowgyro import sensitivity
@@ -218,6 +219,19 @@ class TestCaseStudies:
     def test_unknown_case_rejected(self):
         with pytest.raises(ParameterError):
             case_study("unknown")
+
+    def test_unknown_f_mode_rejected(self):
+        with pytest.raises(ParameterError, match="f_mode"):
+            case_study("gupta", f_mode="bogus")
+
+    @pytest.mark.parametrize("f_mode", ["exact", "asymptotic"])
+    def test_f_modes_agree_with_omega_min(self, f_mode):
+        report = case_study("gupta", species="na23", a=2.9, f_mode=f_mode)
+        v_rec = hbar * (2.0 * math.pi / 589.0e-9) / NA23.mass
+        area = 1.5e-3 * (2.0 * math.pi * 1.5e-3)
+        assert report.omega_min == omega_min(
+            area, sensitivity.CASE_CROSS_SECTION, sensitivity.CASE_DENSITY,
+            v_rec, 1.0, 2.9, NA23.mass, f_mode=f_mode)
 
 
 class TestComposedPipeline:
