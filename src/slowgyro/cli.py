@@ -39,17 +39,17 @@ from .params import (SPECIES_PRESETS, REFERENCE_WAVELENGTHS, AtomSpecies,
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
                           propagate_allorder, signal_phase, write_profile_csv)
 from .ringmodes import MediumPreparation, Preparation
-from .sensitivity import (CASE_PRESETS, case_study, detector_photons,
-                          loss_parameter, omega_min, optimize_snr)
+from .sensitivity import (CASE_CROSS_SECTION, CASE_DENSITY, CASE_PRESETS,
+                          case_study, detector_photons, loss_parameter,
+                          omega_min, optimize_snr)
 
 DEFAULT_A_LIST = (0.05, 0.5, 5.0, 50.0, 500.0, 5000.0)
 
 GEOMETRY_PRESETS = {
-    "gupta": {"geometry.radius_m": 1.5e-3, "geometry.cross_section_m2": 1e-6,
-              "geometry.atom_density_per_m3": 1e20},
-    "arnold": {"geometry.radius_m": 48e-3, "geometry.cross_section_m2": 1e-6,
-               "geometry.atom_density_per_m3": 1e20},
-}
+    name: {"geometry.radius_m": preset["radius"],
+           "geometry.cross_section_m2": CASE_CROSS_SECTION,
+           "geometry.atom_density_per_m3": CASE_DENSITY}
+    for name, preset in CASE_PRESETS.items()}
 
 _POSITIVE = ("must be a positive number", lambda v: v > 0)
 _NONNEG = ("must be >= 0", lambda v: v >= 0)
@@ -549,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega-min", help="minimum detectable rotation rate")
     common(p)
     p.add_argument("--case", choices=sorted(CASE_PRESETS), default=None)
-    p.add_argument("--species", choices=("rb87", "na23"), default="na23")
+    p.add_argument("--species", choices=sorted(SPECIES_PRESETS),
+                   default="na23")
     p.add_argument("--a", type=float, default=2.9, dest="a_value")
     p.add_argument("--time", type=float, default=1.0)
     p.add_argument("--area", choices=("ring", "disk"), default="ring")

@@ -228,10 +228,14 @@ def all_scales(atom: AtomSpecies, fields: ProbeControlFields,
                          eta=kin.eta, g=g, g2rho=g2rho)
 
 
-def _species(name, mass, lambda_ref, gamma_rad, gamma13):
+# Reference probe lines (D2) of the species presets.
+REFERENCE_WAVELENGTHS = {"rb87": 780.24e-9, "na23": 589.0e-9}
+
+
+def _species(name, mass, gamma_rad, gamma13):
     """Species preset with equal decay branches gamma1 = gamma3 = gamma_rad
     and the dipole moment implied by gamma_rad on the reference line."""
-    omega = c * 2.0 * math.pi / lambda_ref
+    omega = c * 2.0 * math.pi / REFERENCE_WAVELENGTHS[name]
     return AtomSpecies(
         mass=mass,
         dipole_p=dipole_from_gamma(gamma_rad, omega),
@@ -244,10 +248,9 @@ def _species(name, mass, lambda_ref, gamma_rad, gamma13):
 
 # Standard alkali data (D2 lines); ground-coherence dephasing defaults to the
 # kHz regime typical of cold-gas experiments.
-RB87 = _species("rb87", mass=1.4432e-25, lambda_ref=780.24e-9,
-                gamma_rad=2.0 * math.pi * 6.07e6, gamma13=1.0e3)
-NA23 = _species("na23", mass=3.8176e-26, lambda_ref=589.0e-9,
-                gamma_rad=2.0 * math.pi * 9.79e6, gamma13=1.0e3)
+RB87 = _species("rb87", mass=1.4432e-25, gamma_rad=2.0 * math.pi * 6.07e6,
+                gamma13=1.0e3)
+NA23 = _species("na23", mass=3.8176e-26, gamma_rad=2.0 * math.pi * 9.79e6,
+                gamma13=1.0e3)
 
 SPECIES_PRESETS = {"rb87": RB87, "na23": NA23}
-REFERENCE_WAVELENGTHS = {"rb87": 780.24e-9, "na23": 589.0e-9}

@@ -19,9 +19,11 @@ Sign and normalization conventions, fixed once here:
   beam = delta_phi_sig / 2.  The shot-noise analysis in the sensitivity
   module composes with these per-beam phases.
 
-Counter-propagation is modeled by flipping the sign of the rotation rate
-in the co-rotating equations; both directions run through the same
-integrator.
+Counter-propagation flips the sign of the rotation rate, which negates
+every phase increment and leaves the amplitude unchanged.  The
+counter-propagating beam is therefore the mirror of the co-propagating run
+(conjugate log-amplitude, phase_ccw = -phase_cw) and is not integrated a
+second time.
 """
 
 import math
@@ -32,8 +34,8 @@ import numpy as np
 
 from ._constants import c, epsilon_0, hbar
 from .errors import IntegrationError, ParameterError, WeakFieldWarning
-from .params import (RB87, AtomSpecies, ProbeControlFields, RingGeometry,
-                     all_scales)
+from .params import (RB87, REFERENCE_WAVELENGTHS, AtomSpecies,
+                     ProbeControlFields, RingGeometry, all_scales)
 from .polariton import PolaritonState, polariton_state
 from .ringmodes import MediumPreparation, matter_term_gate
 
@@ -132,7 +134,8 @@ class RingMedium:
         """
         if medium_length is None:
             medium_length = 2.0 * math.pi * radius
-        lambda_p = {"rb87": 780.24e-9, "na23": 589.0e-9}.get(atom.name, 780.24e-9)
+        lambda_p = REFERENCE_WAVELENGTHS.get(atom.name,
+                                             REFERENCE_WAVELENGTHS["rb87"])
         probe = ProbeControlFields(lambda_p=lambda_p,
                                    rabi_p0=math.sqrt(s0) * rabi_c,
                                    rabi_c=rabi_c)
@@ -187,26 +190,43 @@ def _phase_rates(medium: RingMedium, s, gate: float, rotation_rate: float):
     """Per-beam light and matter phase rates (rad/m) at saturation s.
 
     Written in terms of q = tan^2(theta) * v_rec / c = 1/xi so the vacuum
-    limit (no medium) is regular.
+    limit (no medium) is regular.  The weak-field rates are the s = 0
+    values, valid at any momentum transfer eta.
     """
     pref = medium.fields.k_p * rotation_rate * medium.geometry.radius / c
+    eta = medium.eta
     t2 = medium.tan2_theta
     q = t2 * medium.scales.v_rec / c
-    denom = 1.0 + q / (1.0 + s) ** 3
+    denom = 1.0 + eta * q / (1.0 + s) ** 3
     light = pref / denom
-    matter = gate * pref * t2 / (1.0 + s) ** 2 / denom
+    matter = gate * pref * eta * t2 / (1.0 + s) ** 2 / denom
     return light, matter
 
 
-def _weak_rates(medium: RingMedium, gate: float, rotation_rate: float):
-    """Weak-field per-beam rates for general momentum transfer eta."""
-    pref = medium.fields.k_p * rotation_rate * medium.geometry.radius / c
-    eta = medium.eta
-    q = medium.tan2_theta * medium.scales.v_rec / c
-    denom = 1.0 + eta * q
-    light = pref / denom
-    matter = gate * pref * eta * medium.tan2_theta / denom
-    return light, matter
+def _uniform_result(medium: RingMedium, grid: PropagationGrid, gate: float,
+                    direction: int, rates, s0: float, kappa: float,
+                    mode: str) -> PropagationResult:
+    """Closed form for phase rates that are constant along the medium: each
+    phase is its rate times L_M, the phase profile is rate * x and the
+    amplitude decays as exp(-kappa x)."""
+    light_rate, matter_rate = rates
+    length = medium.geometry.medium_length
+    light = direction * light_rate * length
+    matter = direction * matter_rate * length
+    beam = light + matter
+    phase_cw = beam if direction == 1 else -beam
+    n = grid.n_points
+    return PropagationResult(
+        phase_cw=phase_cw, phase_ccw=-phase_cw,
+        amplitude_ratio=math.exp(-kappa * length),
+        delta_phi_sig=2.0 * phase_cw,
+        light_part=light, matter_part=matter,
+        s_profile=np.full(n, s0), xi_profile=np.full(n, medium.xi),
+        x=grid.x.copy(),
+        phase_profile=direction * (light_rate + matter_rate) * grid.x,
+        amplitude_profile=np.exp(-kappa * grid.x),
+        diagnostics={"mode": mode, "gate": gate},
+    )
 
 
 def propagate_weak(medium: RingMedium, prep: MediumPreparation,
@@ -225,25 +245,9 @@ def propagate_weak(medium: RingMedium, prep: MediumPreparation,
         warnings.warn(f"s(0) = {s0:.3g} > 0.01: outside the weak-field regime",
                       WeakFieldWarning, stacklevel=2)
     gate = matter_term_gate(prep)
-    omega = medium.geometry.rotation_rate
-    light_rate, matter_rate = _weak_rates(medium, gate, omega)
-    length = medium.geometry.medium_length
-    light = direction * light_rate * length
-    matter = direction * matter_rate * length
-    beam = light + matter
-    phase_cw = beam if direction == 1 else -beam
-    n = grid.n_points
-    return PropagationResult(
-        phase_cw=phase_cw, phase_ccw=-phase_cw,
-        amplitude_ratio=1.0,
-        delta_phi_sig=2.0 * phase_cw,
-        light_part=light, matter_part=matter,
-        s_profile=np.full(n, s0), xi_profile=np.full(n, medium.xi),
-        x=grid.x.copy(),
-        phase_profile=direction * (light_rate + matter_rate) * grid.x,
-        amplitude_profile=np.ones(n),
-        diagnostics={"mode": "weak", "gate": gate},
-    )
+    rates = _phase_rates(medium, 0.0, gate, medium.geometry.rotation_rate)
+    return _uniform_result(medium, grid, gate, direction, rates, s0, 0.0,
+                           "weak")
 
 
 def _require_full_transfer(medium: RingMedium, what: str):
@@ -337,8 +341,10 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     Fixed-step fourth-order integration with automatic substep refinement;
     the per-step change must stay below 0.1 or an IntegrationError with
     diagnostics is raised.  The result carries a Richardson convergence
-    estimate in diagnostics["richardson_phase"].  Requires full momentum
-    transfer (eta = 1), as signal_phase does.
+    estimate in diagnostics["richardson_phase"].  The kernel runs for the
+    co-propagating beam only; the counter-propagating one is its mirror
+    (see the module docstring).  Requires full momentum transfer (eta = 1),
+    as signal_phase does.
     """
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
@@ -350,34 +356,32 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     gate = matter_term_gate(prep)
     omega = medium.geometry.rotation_rate
 
-    y_cw, phase_cw, rich_cw, step_cw, substeps = _integrate_beam(
+    y_cw, phase_cw, richardson, max_step, substeps = _integrate_beam(
         medium, gate, omega, rabi_p0, grid)
-    y_ccw, phase_ccw, rich_ccw, _, _ = _integrate_beam(
-        medium, gate, -omega, rabi_p0, grid)
 
-    y_sel = y_cw if direction == 1 else y_ccw
+    y_sel = y_cw if direction == 1 else y_cw.conjugate()
     amp = np.exp(y_sel.real - y_sel.real[0])
     s_profile = np.exp(2.0 * y_sel.real) / medium.fields.rabi_c**2
     light, matter = _split_phase(medium, gate, omega, s_profile, grid,
                                  direction, substeps)
 
     return PropagationResult(
-        phase_cw=phase_cw, phase_ccw=phase_ccw,
+        phase_cw=phase_cw, phase_ccw=-phase_cw,
         amplitude_ratio=float(amp[-1]),
-        delta_phi_sig=phase_cw - phase_ccw,
+        delta_phi_sig=2.0 * phase_cw,
         light_part=light, matter_part=matter,
         s_profile=s_profile, xi_profile=np.full(grid.n_points, medium.xi),
         x=grid.x.copy(),
         phase_profile=(y_sel.imag - y_sel.imag[0]),
         amplitude_profile=amp,
         diagnostics={"mode": "allorder", "gate": gate,
-                     "richardson_phase": max(rich_cw, rich_ccw),
-                     "max_step": step_cw},
+                     "richardson_phase": richardson,
+                     "max_step": max_step},
     )
 
 
 def _split_phase(medium, gate, rotation_rate, s_profile, grid, direction,
-                 substeps=1):
+                 substeps):
     """Light and matter phase integrals over s(x) by the rule the RK4 kernel
     applies to the beam phase: Simpson's rule with midpoints on each of
     `substeps` equal steps per grid cell.  ln s is linear in x, so s inside
@@ -398,52 +402,29 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
                  frozen_s: bool = False) -> PropagationResult:
     """Differential Sagnac signal with its light/matter split.
 
-    Evaluates the two phase integrals on the grid over the saturation
-    profile s(x).  By default s(x) is the self-consistent profile from the
-    all-order propagation; frozen_s=True pins s(x) at its input value,
-    which reproduces the uniform-medium analytic estimate used for the
-    sensitivity optimization.  Requires full momentum transfer (eta = 1),
-    the regime in which the saturating susceptibility holds.
+    By default the saturation follows its self-consistent profile s(x): the
+    result is the co-propagating beam of propagate_allorder, labelled mode
+    "signal".  frozen_s=True (or a zero probe) pins s(x) at its input value,
+    the uniform-medium analytic estimate used for the sensitivity
+    optimization; each phase is then its rate times L_M in closed form.
+    Requires full momentum transfer (eta = 1), the regime in which the
+    saturating susceptibility holds.
     """
     _require_full_transfer(medium, "signal_phase")
     if rabi_p0 is None:
         rabi_p0 = medium.fields.rabi_p0
-    gate = matter_term_gate(prep)
-    omega = medium.geometry.rotation_rate
-    s0 = (rabi_p0 / medium.fields.rabi_c) ** 2
 
     if frozen_s or rabi_p0 == 0.0:
-        s_profile = np.full(grid.n_points, s0)
-        kappa = medium.state(rabi_p0).kappa
-        amp_ratio = math.exp(-kappa * medium.geometry.medium_length)
-        amp_profile = np.exp(-kappa * grid.x)
-        light, matter = _split_phase(medium, gate, omega, s_profile, grid, 1)
-        diag = {"mode": "signal-frozen", "gate": gate}
-    else:
-        base = propagate_allorder(medium, prep, grid, direction=1,
-                                  rabi_p0=rabi_p0)
-        s_profile = base.s_profile
-        amp_ratio = base.amplitude_ratio
-        amp_profile = base.amplitude_profile
-        light, matter = base.light_part, base.matter_part
-        diag = dict(base.diagnostics, mode="signal")
+        gate = matter_term_gate(prep)
+        s0 = (rabi_p0 / medium.fields.rabi_c) ** 2
+        rates = _phase_rates(medium, s0, gate, medium.geometry.rotation_rate)
+        return _uniform_result(medium, grid, gate, 1, rates, s0,
+                               medium.state(rabi_p0).kappa, "signal-frozen")
 
-    beam = light + matter
-    light_rate, matter_rate = _phase_rates(medium, s_profile, gate, omega)
-    return PropagationResult(
-        phase_cw=beam, phase_ccw=-beam,
-        amplitude_ratio=amp_ratio,
-        delta_phi_sig=2.0 * beam,
-        light_part=light, matter_part=matter,
-        s_profile=s_profile, xi_profile=np.full(grid.n_points, medium.xi),
-        x=grid.x.copy(),
-        phase_profile=np.concatenate(
-            ([0.0], np.cumsum(np.diff(grid.x) * 0.5
-                              * ((light_rate + matter_rate)[1:]
-                                 + (light_rate + matter_rate)[:-1])))),
-        amplitude_profile=amp_profile,
-        diagnostics=diag,
-    )
+    result = propagate_allorder(medium, prep, grid, direction=1,
+                                rabi_p0=rabi_p0)
+    result.diagnostics["mode"] = "signal"
+    return result
 
 
 def dispersion_regime_check(state: PolaritonState) -> str | None:

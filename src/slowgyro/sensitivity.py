@@ -34,7 +34,7 @@ import numpy as np
 
 from ._constants import c, epsilon_0, hbar
 from .errors import BoundaryHitError, LowCountWarning, ParameterError
-from .params import NA23, RB87, REFERENCE_WAVELENGTHS
+from .params import REFERENCE_WAVELENGTHS, SPECIES_PRESETS
 
 __all__ = [
     "loss_parameter",
@@ -242,8 +242,6 @@ CASE_PRESETS = {
 CASE_DENSITY = 1e20        # 1/m^3
 CASE_CROSS_SECTION = 1e-6  # m^2
 
-_SPECIES = {"rb87": RB87, "na23": NA23}
-
 
 def case_study(name: str, species: str = "na23", a: float = 2.9,
                t: float = 1.0, area_convention: str = "ring",
@@ -259,12 +257,13 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
     key = name.lower()
     if key not in CASE_PRESETS:
         raise ParameterError(f"unknown case {name!r}; known: {sorted(CASE_PRESETS)}")
-    if species not in _SPECIES:
-        raise ParameterError(f"unknown species {species!r}; known: {sorted(_SPECIES)}")
+    if species not in SPECIES_PRESETS:
+        raise ParameterError(f"unknown species {species!r}; "
+                             f"known: {sorted(SPECIES_PRESETS)}")
     if f_mode not in ("exact", "asymptotic"):
         raise ParameterError(f"unknown f_mode {f_mode!r}")
     radius = CASE_PRESETS[key]["radius"]
-    atom = _SPECIES[species]
+    atom = SPECIES_PRESETS[species]
     lambda_p = REFERENCE_WAVELENGTHS[species]
     k_p = 2.0 * math.pi / lambda_p
     v_rec = hbar * k_p / atom.mass

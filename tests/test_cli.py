@@ -145,6 +145,14 @@ class TestPhase:
         env2 = json.loads(out2)
         assert env1["results"] == env2["results"]
 
+    def test_agrees_with_copropagating_propagate(self, capsys):
+        _, out_phase, _ = run(["phase"], capsys)
+        _, out_prop, _ = run(["propagate", "--direction", "1"], capsys)
+        phase = json.loads(out_phase)["results"]
+        prop = json.loads(out_prop)["results"]
+        for name in phase:
+            assert prop[name] == phase[name], name
+
     def test_profile_out_and_grid_override(self, tmp_path, capsys):
         path = write_config(tmp_path)
         profile = tmp_path / "profile.csv"

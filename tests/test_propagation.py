@@ -105,6 +105,14 @@ class TestWeakField:
         with pytest.warns(WeakFieldWarning):
             propagate_weak(medium, SUPERFLUID, grid_for(medium))
 
+    @pytest.mark.filterwarnings("ignore::slowgyro.errors.WeakFieldWarning")
+    def test_profiles_hold_input_saturation_and_unit_amplitude(self):
+        medium = medium_for(a=1.0, xi=2.0, s0=0.3)
+        res = propagate_weak(medium, SUPERFLUID, grid_for(medium))
+        assert np.all(res.s_profile == medium.fields.saturation0)
+        assert np.all(res.amplitude_profile == 1.0)
+        assert res.amplitude_ratio == 1.0
+
     def test_general_momentum_transfer(self):
         # eta = 0.5: matter term scales as eta/(xi+eta)
         base = medium_for(a=0.0, xi=2.0)
@@ -275,6 +283,11 @@ class TestSignalPhase:
             * length * 2.0 / 3.0
         assert res.light_part == pytest.approx(expected, rel=1e-9)
 
+    def test_allorder_profile_ends_on_phase(self):
+        medium = medium_for(a=0.1, xi=0.05, s0=1.0)
+        res = signal_phase(medium, SUPERFLUID, grid_for(medium, 256))
+        assert res.phase_profile[-1] == pytest.approx(res.phase_cw, rel=1e-12)
+
     def test_requires_full_momentum_transfer(self):
         base = medium_for(a=0.0, xi=2.0)
         fields = ProbeControlFields(lambda_p=780.24e-9,
@@ -307,8 +320,9 @@ class TestDispersionRegimeCheck:
 
 class TestKernelProperties:
     """Over the operating ranges of a ring scan: the counter-propagating
-    beam is the exact mirror of the co-propagating one, and the light/matter
-    split integrates the same phase as the kernel."""
+    beam is the exact mirror of the co-propagating one (checked against a
+    run of the same medium at -Omega), and the light/matter split integrates
+    the same phase as the kernel."""
 
     @settings(max_examples=25, deadline=None)
     @given(a=st.floats(min_value=0.1, max_value=1e3),
@@ -321,6 +335,13 @@ class TestKernelProperties:
         res = propagate_allorder(medium, SUPERFLUID, grid_for(medium, n),
                                  direction=direction)
         assert res.phase_ccw == -res.phase_cw
+        mirrored = medium_for(a=a, xi=a * xi_over_a, s0=s0, omega=-EARTH)
+        mir = propagate_allorder(mirrored, SUPERFLUID, grid_for(mirrored, n),
+                                 direction=direction)
+        assert mir.phase_cw == -res.phase_cw
+        assert mir.light_part == -res.light_part
+        assert np.array_equal(mir.phase_profile, -res.phase_profile)
+        assert np.array_equal(mir.amplitude_profile, res.amplitude_profile)
         beam = res.phase_cw if direction == 1 else res.phase_ccw
         assert res.light_part + res.matter_part == \
             pytest.approx(beam, rel=1e-12, abs=0.0)
