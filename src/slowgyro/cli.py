@@ -573,10 +573,13 @@ def _run(args) -> int:
             return 0
 
         overrides = {}
-        if getattr(args, "grid", None):
+        if args.grid is not None:
             overrides["grid.n_points"] = args.grid
 
         if args.command == "omega-min" and args.case is not None:
+            if args.config is not None or args.grid is not None:
+                raise ConfigError("--case", "a case study takes no --config "
+                                  "or --grid")
             env = cmd_omega_min(case=args.case, species=args.species,
                                 a_value=args.a_value, t=args.time,
                                 area_convention=args.area)

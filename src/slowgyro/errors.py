@@ -33,8 +33,9 @@ class IntegrationError(RuntimeError):
 
 
 class BoundaryHitError(RuntimeError):
-    """The SNR optimizer ended on the edge of its search box, so the reported
-    point is not a trustworthy interior maximum."""
+    """The SNR optimum lies outside the (s, xi) box the uniform-medium
+    estimate is trusted on, or could not be located, so no trustworthy
+    interior maximum is reported."""
 
 
 class ConfigError(ValueError):

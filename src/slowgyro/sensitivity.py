@@ -11,9 +11,11 @@ their power-independent bound) the SNR factorizes as
     g(s, xi; a) = sqrt(xi * s) * (1+s) * exp(-a/xi) / (xi * (1+s)^3 + 1)
 
 with the loss parameter a = gamma13 * L_M / v_rec and area A = R * L_M.
-For a >> 1 the maximum of g sits at s = 1/3, xi = 2a with
-g_max ~ 0.1393 / sqrt(a); the minimum detectable rotation rate follows by
-setting SNR = 1,
+Setting d ln g / d ln s = d ln g / d ln xi = 0 gives xi = 6 a s and, with
+t = 3 s - 1, (2a/27) t (1+t) (4+t)^3 / (2+t) = 1, whose one root t > 0 is
+the maximum of g.  For a >> 1, t ~ 27/(64a): the maximum sits at s = 1/3,
+xi = 2a with g_max ~ 0.1393 / sqrt(a).  The minimum detectable rotation
+rate follows by setting SNR = 1,
 
     Omega_min = (hbar/m) / A * (F rho v_rec t)^(-1/2) * f * sqrt(a),
 
@@ -27,6 +29,7 @@ split), not with the doubled counter-propagating differential.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,8 +55,8 @@ __all__ = [
 ]
 
 S_RANGE = (1e-4, 1e2)
-XI_RANGE_FACTOR = 1e3  # xi searched in [a/1e3, a*1e3]
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+XI_RANGE_FACTOR = 1e3  # xi trusted in [a/1e3, a*1e3]
+_MAX_ITER = 100
 
 
 def loss_parameter(gamma13: float, medium_length: float, v_rec: float) -> float:
@@ -127,63 +130,55 @@ class OptimumPoint:
         return 1.0 / (self.g_max * math.sqrt(self.a))
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer on [lo, hi]; returns the bracket center."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fun(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fun(x1)
-    return 0.5 * (lo + hi)
+def optimize_snr(a: float) -> OptimumPoint:
+    """Maximum of the SNR shape factor g(s, xi; a) over s, xi > 0.
 
-
-def optimize_snr(a: float, grid_points: int = 64) -> OptimumPoint:
-    """Locate the low-intensity SNR maximum over s in [1e-4, 1e2] and
-    xi in [a/1e3, 1e3*a].
-
-    Deterministic and library-free: a logarithmic coarse grid followed by
-    coordinate-wise golden-section passes until the point moves by less
-    than 1e-8 (relative).  Raises BoundaryHitError when the maximum lands
-    on the edge of the search box.
+    d ln g / d ln s = d ln g / d ln xi = 0 gives xi = 6 a s and, with
+    t = 3 s - 1 > 0, (2a/27) t (1+t) (4+t)^3 / (2+t) = 1.  The left side
+    rises strictly from 0 to infinity and g vanishes on every edge of the
+    (s, xi) quadrant, so its one root is the global maximum.  Newton's
+    method finds it in u = ln t, where the logarithm of the equation is
+    convex with slope in [1, 5), starting from the smaller asymptotic root,
+    27/(64a) or (27/(2a))^(1/4); both lie above the root, so the iterates
+    fall to it monotonically, and a step that leaves the bracket of the
+    residual signs seen (only possible through rounding) bisects instead.
+    Raises BoundaryHitError when s falls outside S_RANGE or xi outside
+    [a/XI_RANGE_FACTOR, a*XI_RANGE_FACTOR], where the estimate is trusted.
     """
-    if a <= 0:
-        raise ParameterError(f"loss parameter a must be positive, got {a}")
-    ls_lo, ls_hi = math.log(S_RANGE[0]), math.log(S_RANGE[1])
-    lx_lo, lx_hi = math.log(a / XI_RANGE_FACTOR), math.log(a * XI_RANGE_FACTOR)
-
-    grid_s = np.linspace(ls_lo, ls_hi, grid_points)
-    grid_x = np.linspace(lx_lo, lx_hi, grid_points)
-    gs, gx = np.meshgrid(grid_s, grid_x, indexing="ij")
-    vals = shape_factor(np.exp(gs), np.exp(gx), a)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    log_s, log_x = float(grid_s[i]), float(grid_x[j])
-
-    def objective(log_s_val, log_x_val):
-        return shape_factor(math.exp(log_s_val), math.exp(log_x_val), a)
-
-    for _ in range(60):
-        new_s = _golden_max(lambda v: objective(v, log_x), ls_lo, ls_hi, 1e-10)
-        new_x = _golden_max(lambda v: objective(new_s, v), lx_lo, lx_hi, 1e-10)
-        moved = max(abs(new_s - log_s), abs(new_x - log_x))
-        log_s, log_x = new_s, new_x
-        if moved < 1e-8:
+    if not (a > 0 and math.isfinite(a)):
+        raise ParameterError(f"loss parameter a must be positive and finite, "
+                             f"got {a}")
+    log_a = math.log(a)
+    log_c = math.log(2.0 / 27.0) + log_a
+    tol = 16.0 * sys.float_info.epsilon * (1.0 + abs(log_c))  # residual rounding
+    u = min(math.log(27.0 / 64.0) - log_a, 0.25 * (math.log(13.5) - log_a))
+    lo, hi = -math.inf, math.inf
+    for _ in range(_MAX_ITER):
+        t = math.exp(u)
+        resid = (log_c + u + math.log1p(t) + 3.0 * math.log(4.0 + t)
+                 - math.log(2.0 + t))
+        if resid > 0.0:
+            hi = u
+        else:
+            lo = u
+        slope = 1.0 + t / (1.0 + t) + 3.0 * t / (4.0 + t) - t / (2.0 + t)
+        new_u = u - resid / slope
+        if not lo <= new_u <= hi:
+            new_u = 0.5 * (lo + hi)
+        if abs(new_u - u) <= tol:
             break
+        u = new_u
+    else:
+        raise BoundaryHitError(f"SNR optimum for a = {a} did not converge "
+                               f"in {_MAX_ITER} Newton steps")
 
-    edge = 1e-6
-    if (min(log_s - ls_lo, ls_hi - log_s) < edge
-            or min(log_x - lx_lo, lx_hi - log_x) < edge):
+    s_opt = (1.0 + math.exp(new_u)) / 3.0
+    xi_opt = 6.0 * a * s_opt
+    if not (S_RANGE[0] <= s_opt <= S_RANGE[1]
+            and 1.0 / XI_RANGE_FACTOR <= xi_opt / a <= XI_RANGE_FACTOR):
         raise BoundaryHitError(
-            f"SNR optimum for a = {a} sits on the search boundary "
-            f"(s = {math.exp(log_s):.3g}, xi = {math.exp(log_x):.3g})")
-
-    s_opt, xi_opt = math.exp(log_s), math.exp(log_x)
+            f"SNR optimum for a = {a} lies outside the trusted box "
+            f"(s = {s_opt:.3g}, xi = {xi_opt:.3g})")
     return OptimumPoint(a=a, s_opt=s_opt, xi_opt=xi_opt,
                         g_max=float(shape_factor(s_opt, xi_opt, a)))
 

@@ -163,6 +163,11 @@ class TestPhase:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 96
 
+    def test_zero_grid_override_rejected(self, capsys):
+        code, _, err = run(["phase", "--grid", "0"], capsys)
+        assert code == 1
+        assert "grid.n_points" in err
+
     def test_csv_format_envelope(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code, out, _ = run(["phase", "--config", path, "--format", "csv"],
@@ -315,6 +320,18 @@ class TestOmegaMin:
         names = set(env["results"])
         assert "benchmark_optical_gyroscope_rad_s_sqrtHz" in names
         assert "ratio_to_matter_wave_gyroscope_rad_s_sqrtHz" in names
+
+    def test_case_refuses_config(self, capsys):
+        code, _, err = run(["omega-min", "--case", "gupta", "--config",
+                            "/nonexistent/missing.json"], capsys)
+        assert code == 1
+        assert "--config" in err
+
+    def test_case_refuses_grid(self, capsys):
+        code, _, err = run(["omega-min", "--case", "gupta", "--grid", "10"],
+                           capsys)
+        assert code == 1
+        assert "--grid" in err
 
     def test_config_mode(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar
 
 from _oracles import brute_optimum
@@ -126,8 +127,43 @@ class TestOptimizer:
             optimize_snr(50.0)
 
     def test_invalid_loss_parameter(self):
-        with pytest.raises(ParameterError):
-            optimize_snr(-1.0)
+        for a in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                optimize_snr(a)
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.05, 2.9, 50.0, 1e4, 1e8,
+                                   1e12])
+    def test_analytic_gradient_vanishes(self, a):
+        # partials of ln g written out here, independent of the optimizer
+        opt = optimize_snr(a)
+        s, xi = opt.s_opt, opt.xi_opt
+        p = xi * (1 + s) ** 3
+        d_ln_s = 0.5 + s / (1 + s) - 3 * s * p / ((1 + s) * (p + 1))
+        d_ln_xi = 0.5 + a / xi - p / (p + 1)
+        assert abs(d_ln_s) <= 1e-12
+        assert abs(d_ln_xi) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(log_a=st.floats(min_value=math.log(1e-8),
+                           max_value=math.log(1e12)))
+    def test_no_better_neighbour(self, log_a):
+        a = math.exp(log_a)
+        opt = optimize_snr(a)
+        for ds in (-1e-3, 0.0, 1e-3):
+            for dx in (-1e-3, 0.0, 1e-3):
+                assert opt.g_max >= shape_factor(opt.s_opt * (1 + ds),
+                                                 opt.xi_opt * (1 + dx), a)
+
+    def test_tiny_loss_parameter_hits_s_boundary(self):
+        # the optimum s grows without bound as a -> 0 and leaves S_RANGE
+        with pytest.raises(BoundaryHitError):
+            optimize_snr(1e-10)
+
+    def test_narrow_xi_range_raises(self, monkeypatch):
+        # xi_opt ~ 2a lies outside [a/1.5, 1.5a]
+        monkeypatch.setattr(sensitivity, "XI_RANGE_FACTOR", 1.5)
+        with pytest.raises(BoundaryHitError):
+            optimize_snr(50.0)
 
 
 class TestPrefactor:
