@@ -21,6 +21,7 @@ Exit status: 0 success, 1 validation error, 2 numerical failure.
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -33,11 +34,12 @@ from . import __version__
 from .bloch import build_generator, steady_state
 from .errors import (BoundaryHitError, ConfigError,
                      DegenerateSteadyStateError, IntegrationError,
-                     LowCountWarning, ParameterError)
+                     ParameterError)
 from .params import (SPECIES_PRESETS, REFERENCE_WAVELENGTHS, AtomSpecies,
                      ProbeControlFields, RingGeometry)
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
-                          propagate_allorder, signal_phase, write_profile_csv)
+                          frozen_phases, propagate_allorder, signal_phase,
+                          write_profile_csv)
 from .ringmodes import MediumPreparation, Preparation
 from .sensitivity import (CASE_CROSS_SECTION, CASE_DENSITY, CASE_PRESETS,
                           case_study, detector_photons, loss_parameter,
@@ -376,42 +378,38 @@ def cmd_propagate(config: RunConfig, direction: int = 1,
 def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
                   s_max: float = 1e2, n_steps: int = 200):
     """SNR versus input probe Rabi frequency, CSV columns
-    (rabi_p0, s, snr_total, snr_matter, snr_light)."""
+    (rabi_p0, s, snr_total, snr_matter, snr_light).  Each row holds the
+    saturation frozen at its input value (frozen_phases), so the whole
+    table is one closed-form pass; nothing is written unless every input
+    is valid."""
+    if not (math.isfinite(s_min) and math.isfinite(s_max)):
+        raise ConfigError("sweep", "s_min and s_max must be finite")
     if s_min <= 0 or s_max <= 0 or s_max < s_min:
         raise ConfigError("sweep", "need 0 < s_min <= s_max")
     if n_steps < 1:
         raise ConfigError("sweep", "n_steps must be >= 1")
     medium = config.medium()
-    grid = config.grid()
     geometry = config.geometry
-    a = medium.loss_parameter
     xi = medium.xi
     if not np.isfinite(xi):
         raise ConfigError("geometry.atom_density_per_m3",
                           "snr-sweep needs a dressed medium (nonzero density)")
-    t = config.detection_time
-    if n_steps == 1:
-        s_values = np.array([s_min])
-    else:
-        s_values = np.geomspace(s_min, s_max, n_steps)
-
+    s_values = np.geomspace(s_min, s_max, n_steps)
+    rabi_c = config.fields.rabi_c
+    rabi_p0 = np.sqrt(s_values) * rabi_c
+    # phases at the s that signal_phase derives from each row's rabi_p0
+    light, matter = frozen_phases(medium, config.preparation,
+                                  (rabi_p0 / rabi_c) ** 2)
+    root = np.sqrt(detector_photons(geometry.cross_section,
+                                    geometry.atom_density, medium.scales.v_rec,
+                                    config.detection_time, xi, s_values,
+                                    medium.loss_parameter))
+    table = np.column_stack((rabi_p0, s_values, np.abs(light + matter) * root,
+                             np.abs(matter) * root, np.abs(light) * root))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rabi_p0_rad_s", "s", "snr_total", "snr_matter",
                      "snr_light"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowCountWarning)
-        for s in s_values:
-            rabi_p0 = math.sqrt(s) * config.fields.rabi_c
-            res = signal_phase(medium, config.preparation, grid,
-                               rabi_p0=rabi_p0, frozen_s=True)
-            n_d = detector_photons(geometry.cross_section,
-                                   geometry.atom_density,
-                                   medium.scales.v_rec, t, xi, float(s), a)
-            root = math.sqrt(n_d)
-            writer.writerow([repr(float(rabi_p0)), repr(float(s)),
-                             repr(abs(res.light_part + res.matter_part) * root),
-                             repr(abs(res.matter_part) * root),
-                             repr(abs(res.light_part) * root)])
+    writer.writerows([repr(v) for v in row] for row in table.tolist())
 
 
 def cmd_optimize(a_list, out):
@@ -558,25 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    captured = []
     config = None
+    env = None
+    text = io.StringIO()  # the output, written only once the command succeeded
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
 
         if args.command == "optimize":
-            out, close = _open_out(args.out)
-            try:
-                cmd_optimize(_parse_a_list(args.a_list), out)
-            finally:
-                if close:
-                    out.close()
-            return 0
-
-        overrides = {}
-        if args.grid is not None:
-            overrides["grid.n_points"] = args.grid
-
-        if args.command == "omega-min" and args.case is not None:
+            cmd_optimize(_parse_a_list(args.a_list), text)
+        elif args.command == "omega-min" and args.case is not None:
             if args.config is not None or args.grid is not None:
                 raise ConfigError("--case", "a case study takes no --config "
                                   "or --grid")
@@ -584,6 +572,9 @@ def _run(args) -> int:
                                 a_value=args.a_value, t=args.time,
                                 area_convention=args.area)
         else:
+            overrides = {}
+            if args.grid is not None:
+                overrides["grid.n_points"] = args.grid
             config = load_config(args.config, overrides)
             if args.command == "steady-state":
                 env = cmd_steady_state(config)
@@ -593,26 +584,25 @@ def _run(args) -> int:
             elif args.command == "phase":
                 env = cmd_phase(config, profile_out=args.profile_out)
             elif args.command == "snr-sweep":
-                out, close = _open_out(args.out or config.output_path)
-                try:
-                    cmd_snr_sweep(config, out, s_min=args.s_min,
-                                  s_max=args.s_max, n_steps=args.steps)
-                finally:
-                    if close:
-                        out.close()
-                return 0
+                cmd_snr_sweep(config, text, s_min=args.s_min,
+                              s_max=args.s_max, n_steps=args.steps)
             elif args.command == "omega-min":
                 env = cmd_omega_min(config=config)
             else:  # pragma: no cover
                 raise ConfigError("<args>", f"unknown command {args.command}")
         captured = [f"{w.category.__name__}: {w.message}" for w in records]
 
-    env.warnings.extend(captured)
-    out_path = args.out or (config.output_path if config else None)
-    fmt = args.format or (config.output_format if config else None) or "json"
-    out, close = _open_out(out_path)
+    if env is None:  # CSV commands report their warnings on stderr
+        for line in captured:
+            print(f"warning: {line}", file=sys.stderr)
+    else:
+        env.warnings.extend(captured)
+        fmt = (args.format or (config.output_format if config else None)
+               or "json")
+        env.write(text, fmt)
+    out, close = _open_out(args.out or (config.output_path if config else None))
     try:
-        env.write(out, fmt)
+        out.write(text.getvalue())
     finally:
         if close:
             out.close()

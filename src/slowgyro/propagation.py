@@ -46,6 +46,7 @@ __all__ = [
     "propagate_weak",
     "propagate_allorder",
     "signal_phase",
+    "frozen_phases",
     "dispersion_regime_check",
     "bare_sagnac_phase",
     "write_profile_csv",
@@ -203,19 +204,31 @@ def _phase_rates(medium: RingMedium, s, gate: float, rotation_rate: float):
     return light, matter
 
 
-def _uniform_result(medium: RingMedium, grid: PropagationGrid, gate: float,
-                    direction: int, rates, s0: float, kappa: float,
-                    mode: str) -> PropagationResult:
-    """Closed form for phase rates that are constant along the medium: each
-    phase is its rate times L_M, the phase profile is rate * x and the
-    amplitude decays as exp(-kappa x)."""
-    light_rate, matter_rate = rates
+def frozen_phases(medium: RingMedium, prep: MediumPreparation, s):
+    """Per-beam (light, matter) phases of the co-propagating beam with the
+    saturation frozen at s along the whole medium: each phase is its rate
+    times L_M.  s may be a scalar or an array.  Requires full momentum
+    transfer (eta = 1), where the saturating rates hold."""
+    _require_full_transfer(medium, "frozen-s propagation")
+    light_rate, matter_rate = _phase_rates(
+        medium, s, matter_term_gate(prep), medium.geometry.rotation_rate)
     length = medium.geometry.medium_length
-    light = direction * light_rate * length
-    matter = direction * matter_rate * length
+    return light_rate * length, matter_rate * length
+
+
+def _uniform_result(medium: RingMedium, grid: PropagationGrid, gate: float,
+                    direction: int, phases, s0: float, kappa: float,
+                    mode: str) -> PropagationResult:
+    """Result for phase rates that are constant along the medium, from the
+    co-propagating beam's (light, matter) phases: the phase profile grows
+    linearly in x and ends on the beam phase, the amplitude decays as
+    exp(-kappa x)."""
+    light = direction * phases[0]
+    matter = direction * phases[1]
     beam = light + matter
     phase_cw = beam if direction == 1 else -beam
     n = grid.n_points
+    length = medium.geometry.medium_length
     return PropagationResult(
         phase_cw=phase_cw, phase_ccw=-phase_cw,
         amplitude_ratio=math.exp(-kappa * length),
@@ -223,7 +236,7 @@ def _uniform_result(medium: RingMedium, grid: PropagationGrid, gate: float,
         light_part=light, matter_part=matter,
         s_profile=np.full(n, s0), xi_profile=np.full(n, medium.xi),
         x=grid.x.copy(),
-        phase_profile=direction * (light_rate + matter_rate) * grid.x,
+        phase_profile=beam * (grid.x / length),
         amplitude_profile=np.exp(-kappa * grid.x),
         diagnostics={"mode": mode, "gate": gate},
     )
@@ -245,8 +258,10 @@ def propagate_weak(medium: RingMedium, prep: MediumPreparation,
         warnings.warn(f"s(0) = {s0:.3g} > 0.01: outside the weak-field regime",
                       WeakFieldWarning, stacklevel=2)
     gate = matter_term_gate(prep)
-    rates = _phase_rates(medium, 0.0, gate, medium.geometry.rotation_rate)
-    return _uniform_result(medium, grid, gate, direction, rates, s0, 0.0,
+    length = medium.geometry.medium_length
+    phases = [rate * length for rate in
+              _phase_rates(medium, 0.0, gate, medium.geometry.rotation_rate)]
+    return _uniform_result(medium, grid, gate, direction, phases, s0, 0.0,
                            "weak")
 
 
@@ -406,19 +421,17 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
     result is the co-propagating beam of propagate_allorder, labelled mode
     "signal".  frozen_s=True (or a zero probe) pins s(x) at its input value,
     the uniform-medium analytic estimate used for the sensitivity
-    optimization; each phase is then its rate times L_M in closed form.
-    Requires full momentum transfer (eta = 1), the regime in which the
-    saturating susceptibility holds.
+    optimization; each phase is then its rate times L_M in closed form
+    (frozen_phases).  Requires full momentum transfer (eta = 1), the regime
+    in which the saturating susceptibility holds.
     """
-    _require_full_transfer(medium, "signal_phase")
     if rabi_p0 is None:
         rabi_p0 = medium.fields.rabi_p0
 
     if frozen_s or rabi_p0 == 0.0:
-        gate = matter_term_gate(prep)
         s0 = (rabi_p0 / medium.fields.rabi_c) ** 2
-        rates = _phase_rates(medium, s0, gate, medium.geometry.rotation_rate)
-        return _uniform_result(medium, grid, gate, 1, rates, s0,
+        return _uniform_result(medium, grid, matter_term_gate(prep), 1,
+                               frozen_phases(medium, prep, s0), s0,
                                medium.state(rabi_p0).kappa, "signal-frozen")
 
     result = propagate_allorder(medium, prep, grid, direction=1,

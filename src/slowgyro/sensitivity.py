@@ -70,18 +70,30 @@ def loss_parameter(gamma13: float, medium_length: float, v_rec: float) -> float:
 
 
 def detector_photons(cross_section: float, density: float, v_rec: float,
-                     t: float, xi: float, s: float, a: float) -> float:
+                     t: float, xi: float, s, a: float):
     """Quanta counted in time t: F * rho * v_rec * t * xi * s * e^(-2a/xi).
 
-    Warns when fewer than one quantum arrives, where the shot-noise formula
-    stops being meaningful.
+    s may be a scalar or an array (one count per saturation).  Warns, once
+    per call, when fewer than one quantum arrives, where the shot-noise
+    formula stops being meaningful.
     """
-    if min(cross_section, density, v_rec, t) < 0 or xi <= 0 or s < 0 or a < 0:
+    scalar = np.ndim(s) == 0
+    if not scalar:
+        s = np.asarray(s, dtype=float)
+    if (min(cross_section, density, v_rec, t) < 0 or xi <= 0 or a < 0
+            or np.any(s < 0)):
         raise ParameterError("detector_photons arguments must be positive")
     n_d = cross_section * density * v_rec * t * xi * s * math.exp(-2.0 * a / xi)
-    if n_d < 1.0:
-        warnings.warn(f"n_D = {n_d:.3g} < 1: shot-noise formula is suspect",
-                      LowCountWarning, stacklevel=2)
+    if scalar:
+        if n_d < 1.0:
+            warnings.warn(f"n_D = {n_d:.3g} < 1: shot-noise formula is suspect",
+                          LowCountWarning, stacklevel=2)
+    else:
+        low = int(np.count_nonzero(n_d < 1.0))
+        if low:
+            warnings.warn(f"n_D < 1 at {low} of {n_d.size} saturations "
+                          f"(smallest {n_d.min():.3g}): shot-noise formula is "
+                          "suspect there", LowCountWarning, stacklevel=2)
     return n_d
 
 
@@ -272,8 +284,8 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
 
     opt = optimize_snr(a)
     f_val = opt.f_estimate if f_mode == "exact" else prefactor_f()
-    flux = math.sqrt(CASE_CROSS_SECTION * CASE_DENSITY * v_rec * t)
-    om = hbar / atom.mass / area / flux * f_val * math.sqrt(a)
+    om = omega_min(area, CASE_CROSS_SECTION, CASE_DENSITY, v_rec, t, a,
+                   atom.mass, f_mode)
     n_d = detector_photons(CASE_CROSS_SECTION, CASE_DENSITY, v_rec, t,
                            opt.xi_opt, opt.s_opt, a)
     noise = 1.0 / math.sqrt(n_d)

@@ -1,15 +1,21 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slowgyro
-from slowgyro.cli import main, normalize_config
+from slowgyro import sensitivity
+from slowgyro.cli import cmd_snr_sweep, main, normalize_config
+from slowgyro.errors import LowCountWarning
+from slowgyro.propagation import signal_phase
 
 
 def run(args, capsys):
@@ -244,13 +250,109 @@ class TestSnrSweep:
         code, _, err = run(["snr-sweep", "--config", path], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("bound", [("--s-min", "nan"), ("--s-max", "inf"),
+                                       ("--s-min=-inf",), ("--s-max", "nan")])
+    def test_non_finite_bounds_rejected(self, capsys, bound):
+        code, out, err = run(["snr-sweep", *bound], capsys)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_refused_sweep_keeps_existing_output(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        out_path.write_text("previous table\n")
+        code, _, _ = run(["snr-sweep", "--s-min", "nan", "--out",
+                          str(out_path)], capsys)
+        assert code == 1
+        assert out_path.read_text() == "previous table\n"
+
+    def test_low_counts_reported_on_stderr(self, tmp_path, capsys):
+        # a thin probe beam: n_D < 1 on the low-power rows
+        path = write_config(tmp_path, {"geometry.cross_section_m2": 1e-19})
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(["snr-sweep", "--config", path, "--out",
+                              str(out_path)], capsys)
+        assert code == 0
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: LowCountWarning: ")
+        code, out, _ = run(["snr-sweep", "--config", path], capsys)
+        assert out == out_path.read_text()
+
+    def test_default_config_prints_no_warning(self, capsys):
+        for command in (["snr-sweep"], ["optimize"]):
+            code, out, err = run(command, capsys)
+            assert code == 0
+            assert out
+            assert err == ""
+
+
+def _random_config(draw):
+    return {"atom.preset": draw(st.sampled_from(["rb87", "na23"])),
+            "geometry.preset": draw(st.sampled_from(["gupta", "arnold"])),
+            "atom.gamma13_per_s": 10 ** draw(st.floats(0.0, 3.0)),
+            "geometry.atom_density_per_m3":
+                10 ** draw(st.floats(19.0, 21.0)),
+            "geometry.rotation_rate_rad_s":
+                draw(st.sampled_from([7.29e-5, -1e-3, 2.0])),
+            "detection.time_s": 10 ** draw(st.floats(-3.0, 1.0))}
+
+
+class TestSweepAgreesWithOtherCommands:
+    """The sweep's closed-form rows against the SNR formula and against
+    the frozen-s signal phase, on random valid configs."""
+
+    @staticmethod
+    def _sweep(config):
+        buf = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LowCountWarning)
+            cmd_snr_sweep(config, buf, n_steps=25)
+        rows = list(csv.reader(buf.getvalue().splitlines()))
+        return [[float(v) for v in row] for row in rows[1:]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matter_column_is_sensitivity_snr(self, data):
+        config = normalize_config(_random_config(data.draw))
+        medium = config.medium()
+        geo = config.geometry
+        for _, s, _, snr_matter, _ in self._sweep(config):
+            ref = sensitivity.snr(abs(geo.rotation_rate), geo.area,
+                                  geo.cross_section, geo.atom_density,
+                                  medium.scales.v_rec, config.detection_time,
+                                  s, medium.xi, medium.loss_parameter,
+                                  config.atom.mass)
+            assert snr_matter == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_frozen_signal_phase(self, data):
+        config = normalize_config(_random_config(data.draw))
+        medium, grid, geo = config.medium(), config.grid(), config.geometry
+        for rabi_p0, s, total, matter, light in self._sweep(config):
+            res = signal_phase(medium, config.preparation, grid,
+                               rabi_p0=rabi_p0, frozen_s=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LowCountWarning)
+                root = math.sqrt(sensitivity.detector_photons(
+                    geo.cross_section, geo.atom_density, medium.scales.v_rec,
+                    config.detection_time, medium.xi, s,
+                    medium.loss_parameter))
+            for got, phase in ((total, res.light_part + res.matter_part),
+                               (matter, res.matter_part),
+                               (light, res.light_part)):
+                assert got == pytest.approx(abs(phase) * root, rel=1e-15,
+                                            abs=0.0)
+
 
 class TestValidityDomain:
     def test_partial_momentum_transfer_refused_by_both_commands(
             self, tmp_path, capsys):
         # k_c_parallel = 4e6 /m gives eta ~ 0.5, outside the saturating model
         path = write_config(tmp_path, {"fields.k_c_parallel_per_m": 4e6})
-        for command in ("propagate", "phase"):
+        for command in ("propagate", "phase", "snr-sweep"):
             code, out, err = run([command, "--config", path], capsys)
             assert code == 1, command
             assert out == ""
@@ -295,6 +397,12 @@ class TestOptimize:
     def test_bad_list(self, capsys):
         code, _, err = run(["optimize", "--a-list", "-3"], capsys)
         assert code == 1
+
+    def test_failed_row_writes_no_partial_table(self, capsys):
+        # a = 1e-10 puts s_opt outside the trusted box after a good row
+        code, out, err = run(["optimize", "--a-list", "5,1e-10"], capsys)
+        assert code == 2
+        assert out == ""
 
 
 class TestOmegaMin:

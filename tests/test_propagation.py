@@ -288,6 +288,22 @@ class TestSignalPhase:
         res = signal_phase(medium, SUPERFLUID, grid_for(medium, 256))
         assert res.phase_profile[-1] == pytest.approx(res.phase_cw, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::slowgyro.errors.WeakFieldWarning")
+    def test_uniform_profiles_end_on_phase(self):
+        # frozen-s and weak-field profiles reach the beam phase exactly
+        for a in (0.1, 3.0, 1e3):
+            for xi_over_a in (0.5, 2.0, 20.0):
+                for s0 in (1e-3, 0.3, 1.0, 10.0):
+                    medium = medium_for(a=a, xi=xi_over_a * a, s0=s0)
+                    grid = grid_for(medium, 256)
+                    for res in (signal_phase(medium, SUPERFLUID, grid,
+                                             frozen_s=True),
+                                propagate_weak(medium, SUPERFLUID, grid),
+                                propagate_weak(medium, SUPERFLUID, grid,
+                                               direction=-1)):
+                        assert res.phase_profile[-1] == \
+                            res.light_part + res.matter_part
+
     def test_requires_full_momentum_transfer(self):
         base = medium_for(a=0.0, xi=2.0)
         fields = ProbeControlFields(lambda_p=780.24e-9,

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar
@@ -50,6 +52,25 @@ class TestDetectorPhotons:
     def test_low_count_warning(self):
         with pytest.warns(LowCountWarning):
             detector_photons(1e-6, 1e2, V_REC_NA, 1.0, 2.0, 1e-3, 5.0)
+
+    def test_array_matches_scalar_calls_and_warns_once(self):
+        s = np.geomspace(1e-3, 1e2, 40)
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            counts = detector_photons(1e-6, 1e9, V_REC_NA, 1.0, 2.0, s, 5.0)
+            scalar = [detector_photons(1e-6, 1e9, V_REC_NA, 1.0, 2.0,
+                                       float(v), 5.0) for v in s]
+        assert counts.tolist() == scalar
+        low = sum(n < 1.0 for n in scalar)
+        assert 0 < low < s.size
+        assert len(records) == 1 + low
+        assert records[0].category is LowCountWarning
+        assert f"{low} of {s.size}" in str(records[0].message)
+
+    def test_negative_saturation_in_array_rejected(self):
+        with pytest.raises(ParameterError):
+            detector_photons(1e-6, 1e20, V_REC_NA, 1.0, 2.0,
+                             np.array([0.1, -0.1]), 1.0)
 
 
 class TestSnr:
