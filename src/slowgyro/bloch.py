@@ -7,10 +7,9 @@ probe/control driven three-level atom obeys a local linear system
 
 once nonlocal coherence-gradient couplings are dropped (they are smaller
 than the optical-coherence damping gamma2/2 by a factor ~ k_p*Omega*R /
-(gamma2/2); see nonlocal_neglect_ratio).  Rotation enters M only through
-Doppler-like shifts Omega*R*k_p on the optical and Raman coherences, and
-enters the drift only through Omega*R which is neglected in the steady
-state solve but kept available for diagnostics.
+(gamma2/2)).  Rotation enters M only through Doppler-like shifts
+Omega*R*k_p on the optical and Raman coherences, and enters the drift only
+through Omega*R, which the steady-state solve neglects.
 
 Vectorization order is fixed as
     (rho11, rho12, rho13, rho21, rho22, rho23, rho31, rho32, rho33)
@@ -21,18 +20,16 @@ solved for the steady state.
 The bare equation for rho23 carries a typographically garbled detuning
 term in its usual statement; it is implemented as
 -(i(delta2 - delta3) + gamma2/2) rho23 by symmetry with the rho12 equation
-and labeled "interpreted" in the CSV dump.
+and listed in BlochGenerator.interpreted_terms.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DegenerateEITError, DegenerateSteadyStateError,
-                     ExpansionWarning, NonpositiveStateWarning,
-                     ParameterError)
+                     NonpositiveStateWarning, ParameterError)
 from .params import AtomSpecies
 
 __all__ = [
@@ -40,15 +37,7 @@ __all__ = [
     "BlochGenerator",
     "build_generator",
     "steady_state",
-    "first_order_correction",
-    "coherence_rho21",
-    "nonlocal_neglect_ratio",
-    "dump_generator_csv",
-    "VEC_LABELS",
 ]
-
-VEC_LABELS = ("rho11", "rho12", "rho13", "rho21", "rho22",
-              "rho23", "rho31", "rho32", "rho33")
 
 # index of the conjugate element under (i,j) -> (j,i) in the fixed order
 _CONJ = (0, 3, 6, 1, 4, 7, 2, 5, 8)
@@ -231,92 +220,3 @@ def steady_state(gen: BlochGenerator, n: float = 1.0) -> DensityMatrix:
     # scrub solver roundoff so the invariants hold exactly where they should
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho=rho, norm=n).validate()
-
-
-def coherence_rho21(rho: DensityMatrix) -> complex:
-    """Polarization source term rho21 of the probe transition."""
-    return rho.rho21
-
-
-def first_order_correction(x: np.ndarray, rho_profile: np.ndarray,
-                           gen: BlochGenerator) -> np.ndarray:
-    """First spatial-drift correction to a steady-state profile.
-
-    Applies (1 - v_rec * Mred^{-1} * Dred * d/dx) to the profile of reduced
-    steady states, with d/dx taken by second-order centered differences
-    (one-sided second order at the boundaries).  The trace of each slice is
-    preserved exactly.  Emits ExpansionWarning when the expansion parameter
-    v_rec * T / L is not small (T from the slowest response of the reduced
-    generator, L from the shortest length scale present in the profile).
-    """
-    x = np.asarray(x, dtype=float)
-    prof = np.asarray(rho_profile, dtype=complex)
-    if prof.shape != (x.size, 3, 3):
-        raise ParameterError(f"profile shape {prof.shape} does not match grid {x.size}")
-    v_rec = gen.v_rec
-    if v_rec == 0.0 or x.size < 2:
-        return prof.copy()
-
-    flat = prof.reshape(x.size, 9)
-    red = flat[:, :8]
-    deriv = np.gradient(red, x, axis=0, edge_order=2)
-    deriv = deriv.copy()
-    deriv[:, 0] = 0.0  # D has no v_rec drift on the rho11 row
-
-    sing = np.linalg.svd(gen.reduced_m, compute_uv=False)
-    if sing[-1] < 1e-14 * sing[0]:
-        raise DegenerateSteadyStateError(_null_dimension(gen.reduced_m))
-    response_time = 1.0 / sing[-1]
-    amp = np.abs(red).max(axis=0)
-    slope = np.abs(deriv).max(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lengths = np.where(slope > 0, amp / slope, np.inf)
-    length = lengths[amp > 1e-30 * max(amp.max(), 1e-300)].min(initial=np.inf)
-    if np.isfinite(length) and v_rec * response_time / length >= 0.1:
-        warnings.warn(
-            f"drift expansion parameter {v_rec * response_time / length:.3g} "
-            ">= 0.1; first-order correction may be unreliable",
-            ExpansionWarning, stacklevel=2)
-
-    corr = -v_rec * np.linalg.solve(gen.reduced_m, deriv.T).T
-    red1 = red + corr
-    out = np.empty_like(flat)
-    out[:, :8] = red1
-    trace_in = flat[:, 0] + flat[:, 4] + flat[:, 8]
-    out[:, 8] = trace_in - red1[:, 0] - red1[:, 4]
-    return out.reshape(x.size, 3, 3)
-
-
-def nonlocal_neglect_ratio(gen: BlochGenerator) -> float:
-    """Size of the dropped nonlocal coherence terms relative to the optical
-    damping, k_p |Omega| R / (gamma2 / 2).  Must be small for the local
-    treatment to hold."""
-    shift = abs(gen.rotation_rate * gen.radius * gen.k_p)
-    if gen.gamma2 == 0.0:
-        return np.inf if shift > 0 else 0.0
-    return shift / (0.5 * gen.gamma2)
-
-
-def _write_matrix_csv(path, mat: np.ndarray, labels):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["row_label"]
-        for name in VEC_LABELS:
-            header += [f"re_{name}", f"im_{name}"]
-        writer.writerow(header)
-        for i, label in enumerate(labels):
-            row = [label]
-            for j in range(9):
-                z = complex(mat[i, j])
-                row += [repr(z.real), repr(z.imag)]
-            writer.writerow(row)
-
-
-def dump_generator_csv(gen: BlochGenerator, m_path, d_path):
-    """Debug dump of M and D, 18 numeric columns of interleaved real/imag
-    parts in the fixed vectorization order.  The rho23 row is labeled
-    "interpreted" because its detuning term is reconstructed by symmetry."""
-    labels = list(VEC_LABELS)
-    labels[5] = "rho23(interpreted)"
-    _write_matrix_csv(m_path, gen.m, labels)
-    _write_matrix_csv(d_path, gen.d.astype(complex), labels)

@@ -31,19 +31,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bloch import build_generator, steady_state
 from .errors import (BoundaryHitError, ConfigError,
-                     DegenerateSteadyStateError, IntegrationError,
-                     ParameterError)
+                     DegenerateSteadyStateError, EITConditionWarning,
+                     IntegrationError, ParameterError)
 from .params import (SPECIES_PRESETS, REFERENCE_WAVELENGTHS, AtomSpecies,
-                     ProbeControlFields, RingGeometry)
+                     ProbeControlFields, RingGeometry, all_scales)
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
                           frozen_phases, propagate_allorder, signal_phase,
                           write_profile_csv)
 from .ringmodes import MediumPreparation, Preparation
 from .sensitivity import (CASE_CROSS_SECTION, CASE_DENSITY, CASE_PRESETS,
-                          case_study, detector_photons, loss_parameter,
-                          omega_min, optimize_snr)
+                          case_study, detector_photons, omega_min,
+                          optimize_snr)
 
 DEFAULT_A_LIST = (0.05, 0.5, 5.0, 50.0, 500.0, 5000.0)
 
@@ -116,7 +115,25 @@ class RunConfig:
     provenance: list = field(default_factory=list)
 
     def medium(self) -> RingMedium:
-        return RingMedium(self.atom, self.fields, self.geometry)
+        """The config's ring medium.  Warns once per call for each way the
+        config leaves the line-center EIT model that propagation and the
+        sensitivity formulas assume: a nonzero detuning or a control field
+        too weak for EIT (EITConditionWarning), and xi < 1, beyond the
+        critical mixing angle (UserWarning)."""
+        medium = RingMedium(self.atom, self.fields, self.geometry)
+        fields, atom = self.fields, self.atom
+        if fields.delta2 != 0.0 or fields.delta3 != 0.0:
+            warnings.warn("nonzero detuning: the phase rates are line-center "
+                          "results", EITConditionWarning, stacklevel=2)
+        if fields.rabi_c**2 < 100.0 * atom.gamma13 * atom.gamma1:
+            warnings.warn("EIT condition rabi_c^2 >> gamma13*gamma1 violated",
+                          EITConditionWarning, stacklevel=2)
+        if medium.xi < 1.0:
+            warnings.warn(
+                f"tan^2(theta) = {1.0 / medium.xi:.3g} * (c/v_rec) exceeds "
+                "the critical mixing angle; neglected kinetic dispersion "
+                "matters here (xi < 1)", UserWarning, stacklevel=2)
+        return medium
 
     def grid(self) -> PropagationGrid:
         return PropagationGrid.uniform(self.geometry.medium_length,
@@ -301,15 +318,18 @@ class ResultEnvelope:
 
 
 def cmd_steady_state(config: RunConfig) -> ResultEnvelope:
-    """Steady state of the driven Lambda system, normalized to unit trace."""
+    """Steady state of the driven Lambda system, normalized to unit trace.
+    It models the detunings exactly, so it raises none of the EIT-model
+    warnings of RunConfig.medium."""
+    from .bloch import build_generator, steady_state
+
     env = ResultEnvelope("steady-state", config.echo, {})
-    scales = config.medium().scales
+    v_rec = all_scales(config.atom, config.fields, config.geometry).v_rec
     gen = build_generator(config.atom, config.fields.rabi_p0,
                           config.fields.rabi_c, config.fields.delta2,
                           config.fields.delta3,
                           config.geometry.rotation_rate,
-                          config.geometry.radius, config.fields.k_p,
-                          scales.v_rec)
+                          config.geometry.radius, config.fields.k_p, v_rec)
     rho = steady_state(gen, n=1.0)
     vec = rho.rho.reshape(9)
     residual = float(np.linalg.norm(gen.m @ vec)
@@ -464,8 +484,7 @@ def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
         medium = config.medium()
         geometry = config.geometry
         v_rec = medium.scales.v_rec
-        a_cfg = loss_parameter(config.atom.gamma13, geometry.medium_length,
-                               v_rec)
+        a_cfg = medium.loss_parameter
         om = omega_min(geometry.area, geometry.cross_section,
                        geometry.atom_density, v_rec, config.detection_time,
                        a_cfg, config.atom.mass)

@@ -47,8 +47,8 @@ class ConfigError(ValueError):
 
 
 class EITConditionWarning(UserWarning):
-    """Operating point violates an assumption behind the closed-form
-    susceptibility (nonzero detuning, or control power too low)."""
+    """Operating point violates an assumption behind the line-center EIT
+    phase rates (nonzero detuning, or control power too low)."""
 
 
 class WeakFieldWarning(UserWarning):
@@ -64,11 +64,6 @@ class LowCountWarning(UserWarning):
 class ThermalRegimeWarning(UserWarning):
     """Temperature is not large against the ring level spacing, so the
     closed-form thermal phase is outside its validity range."""
-
-
-class ExpansionWarning(UserWarning):
-    """The characteristic-length expansion parameter is not small; the
-    first-order drift correction may be inaccurate."""
 
 
 class NonpositiveStateWarning(UserWarning):

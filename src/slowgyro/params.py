@@ -6,9 +6,10 @@ beam propagates along the ring periphery and a control beam crosses it.
 The quantities derived here (recoil velocity, recoil frequency, momentum
 transfer parameter, light-matter coupling) feed every other module.
 
-Dimensionless groups (saturation s, group-velocity parameter xi, mixing
-angle, momentum transfer eta) are computed on demand rather than stored,
-so there is exactly one canonical unit system.
+Nothing here is dimensionless beyond the momentum transfer eta and the
+input saturation s(0): tan^2(theta), xi and the loss kappa are derived
+once, by propagation.RingMedium, so there is exactly one canonical unit
+system.
 """
 
 import math
@@ -24,7 +25,6 @@ __all__ = [
     "DerivedScales",
     "derive_recoil",
     "coupling_constant",
-    "gamma_from_dipole",
     "dipole_from_gamma",
     "rest_energy_ratio",
     "all_scales",
@@ -135,14 +135,6 @@ class RingGeometry:
                 "non-relativistic treatment no longer applies"
             )
 
-    @classmethod
-    def full_ring(cls, radius: float, cross_section: float, atom_density: float,
-                  rotation_rate: float = 0.0) -> "RingGeometry":
-        """Geometry with the medium filling the whole circumference."""
-        return cls(radius=radius, medium_length=2.0 * math.pi * radius,
-                   cross_section=cross_section, atom_density=atom_density,
-                   rotation_rate=rotation_rate)
-
     @property
     def area(self) -> float:
         """Interferometer area convention A = R * L_M."""
@@ -195,16 +187,9 @@ def coupling_constant(atom: AtomSpecies, fields: ProbeControlFields,
     return g, g2rho
 
 
-def gamma_from_dipole(d_p: float, omega_p: float) -> float:
-    """Radiative decay rate of the probe transition from its dipole moment,
-    gamma = (1/4 pi eps0) * (4/3) * d_p^2 omega_p^3 / (hbar c^3)."""
-    if omega_p <= 0:
-        raise ParameterError(f"omega_p must be positive, got {omega_p}")
-    return d_p**2 * omega_p**3 / (3.0 * math.pi * epsilon_0 * hbar * c**3)
-
-
 def dipole_from_gamma(gamma: float, omega_p: float) -> float:
-    """Inverse of gamma_from_dipole."""
+    """Probe-transition dipole moment from its radiative decay rate,
+    d_p = sqrt(3 pi eps0 hbar c^3 gamma / omega_p^3)."""
     if omega_p <= 0:
         raise ParameterError(f"omega_p must be positive, got {omega_p}")
     if gamma < 0:

@@ -36,7 +36,6 @@ from ._constants import c, epsilon_0, hbar
 from .errors import IntegrationError, ParameterError, WeakFieldWarning
 from .params import (RB87, REFERENCE_WAVELENGTHS, AtomSpecies,
                      ProbeControlFields, RingGeometry, all_scales)
-from .polariton import PolaritonState, polariton_state
 from .ringmodes import MediumPreparation, matter_term_gate
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "propagate_allorder",
     "signal_phase",
     "frozen_phases",
-    "dispersion_regime_check",
     "bare_sagnac_phase",
     "write_profile_csv",
 ]
@@ -84,9 +82,20 @@ class PropagationGrid:
 class RingMedium:
     """Atom + fields + geometry bundle with the derived EIT quantities.
 
-    Exposes the dimensionless numbers every propagation formula needs:
-    tan2_theta, xi, the loss parameter a = gamma13 * L_M / v_rec, and the
-    momentum-transfer parameter eta.
+    The one home of the dimensionless numbers every propagation formula
+    needs:
+
+    * tan2_theta = g2rho / rabi_c^2, tan^2 of the polariton mixing angle;
+    * xi = c / (v_rec * tan2_theta), the group-velocity parameter (inf
+      without a medium); xi < 1 puts the mixing angle beyond its critical
+      value tan^2(theta_crit) = c / v_rec;
+    * kappa = gamma13 * tan2_theta / c, the amplitude loss per metre.  It
+      is the power-independent bound on the exact loss
+      kappa / ((1+s)^2 * beta), beta = 1 + (1/xi) / (1+s)^3, so it
+      overstates the loss by the factor (1+s)^2 * beta, about 1.78 at the
+      SNR optimum's s = 1/3;
+    * loss_parameter a = gamma13 * L_M / v_rec and the momentum-transfer
+      parameter eta.
     """
 
     def __init__(self, atom: AtomSpecies, fields: ProbeControlFields,
@@ -95,17 +104,10 @@ class RingMedium:
         self.fields = fields
         self.geometry = geometry
         self.scales = all_scales(atom, fields, geometry)
-        self.state0 = polariton_state(
-            self.scales.g2rho, fields.rabi_c, fields.rabi_p0,
-            self.scales.eta, self.scales.v_rec, atom.gamma13)
-
-    @property
-    def tan2_theta(self) -> float:
-        return self.state0.tan2_theta
-
-    @property
-    def xi(self) -> float:
-        return self.state0.xi
+        self.tan2_theta = self.scales.g2rho / fields.rabi_c**2
+        self.xi = (math.inf if self.tan2_theta == 0.0
+                   else c / (self.scales.v_rec * self.tan2_theta))
+        self.kappa = atom.gamma13 * self.tan2_theta / c
 
     @property
     def eta(self) -> float:
@@ -115,11 +117,6 @@ class RingMedium:
     def loss_parameter(self) -> float:
         """a = gamma13 * L_M / v_rec."""
         return self.atom.gamma13 * self.geometry.medium_length / self.scales.v_rec
-
-    def state(self, rabi_p: float) -> PolaritonState:
-        return polariton_state(self.scales.g2rho, self.fields.rabi_c, rabi_p,
-                               self.scales.eta, self.scales.v_rec,
-                               self.atom.gamma13)
 
     @classmethod
     def from_dimensionless(cls, a: float, xi: float, s0: float,
@@ -314,7 +311,7 @@ def _integrate_beam(medium: RingMedium, gate: float, rotation_rate: float,
     the grid points, the beam phase, its Richardson error estimate, the
     largest per-step change and the number of kernel steps per grid cell."""
     t2 = medium.tan2_theta
-    loss = medium.atom.gamma13 * t2 / c
+    loss = medium.kappa
     pref = medium.fields.k_p * rotation_rate * medium.geometry.radius / c
     rc2 = medium.fields.rabi_c**2
     vrec_c = medium.scales.v_rec / c
@@ -432,26 +429,12 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
         s0 = (rabi_p0 / medium.fields.rabi_c) ** 2
         return _uniform_result(medium, grid, matter_term_gate(prep), 1,
                                frozen_phases(medium, prep, s0), s0,
-                               medium.state(rabi_p0).kappa, "signal-frozen")
+                               medium.kappa, "signal-frozen")
 
     result = propagate_allorder(medium, prep, grid, direction=1,
                                 rabi_p0=rabi_p0)
     result.diagnostics["mode"] = "signal"
     return result
-
-
-def dispersion_regime_check(state: PolaritonState) -> str | None:
-    """Warn when tan^2(theta) exceeds c/v_rec (theta beyond critical):
-    there the neglected kinetic dispersion of the matter component becomes
-    important and first-order propagation is unreliable.  Returns the
-    warning text, or None when the operating point is safe."""
-    if state.theta_crit_ratio > 1.0:
-        msg = (f"tan^2(theta) = {state.theta_crit_ratio:.3g} * (c/v_rec) "
-               "exceeds the critical mixing angle; neglected kinetic "
-               "dispersion matters here (xi < 1)")
-        warnings.warn(msg, UserWarning, stacklevel=2)
-        return msg
-    return None
 
 
 def write_profile_csv(result: PropagationResult, path, rabi_p0: float = 1.0):

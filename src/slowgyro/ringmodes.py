@@ -29,12 +29,10 @@ from ._constants import hbar, k_B
 from .errors import ParameterError, ThermalRegimeWarning
 
 __all__ = [
-    "RingMode",
     "Preparation",
     "MediumPreparation",
     "mode_energy",
     "n_min",
-    "ground_mode",
     "thermal_phase",
     "boltzmann_mean_winding",
     "matter_term_gate",
@@ -60,22 +58,10 @@ class MediumPreparation:
             raise ParameterError("thermal ring preparation needs temperature > 0")
 
 
-@dataclass(frozen=True)
-class RingMode:
-    """One winding-number eigenstate on the ring."""
-
-    n: int
-    energy: float  # J
-
-    @classmethod
-    def at(cls, n: int, rotation_rate: float, radius: float,
-           mass: float) -> "RingMode":
-        return cls(n=n, energy=mode_energy(n, rotation_rate, radius, mass))
-
-
-def mode_energy(n: float, rotation_rate: float, radius: float, mass: float) -> float:
+def mode_energy(n, rotation_rate: float, radius: float, mass: float):
     """Energy of winding number n in the rotating frame:
-    n*hbar*Omega + n^2 hbar^2 / (2 m R^2)."""
+    n*hbar*Omega + n^2 hbar^2 / (2 m R^2).  n may be a scalar or an
+    array."""
     if radius <= 0 or mass <= 0:
         raise ParameterError("radius and mass must be positive")
     return n * hbar * rotation_rate + n * n * hbar**2 / (2.0 * mass * radius**2)
@@ -86,29 +72,6 @@ def n_min(rotation_rate: float, radius: float, mass: float) -> float:
     if radius <= 0 or mass <= 0:
         raise ParameterError("radius and mass must be positive")
     return -mass * rotation_rate * radius**2 / hbar
-
-
-def ground_mode(rotation_rate: float, radius: float, mass: float) -> int:
-    """Integer winding number with the lowest energy.
-
-    Equals 0 while |n_min| < 1/2.  Exact half-integer ties are broken toward
-    the smaller |n| (toward zero); they only occur on a measure-zero set of
-    rotation rates.
-    """
-    nm = n_min(rotation_rate, radius, mass)
-    lo, hi = math.floor(nm), math.ceil(nm)
-    if lo == hi:
-        return lo
-    e_lo = mode_energy(lo, rotation_rate, radius, mass)
-    e_hi = mode_energy(hi, rotation_rate, radius, mass)
-    # tie detection against the term magnitudes, not the (possibly
-    # cancelling) energies themselves
-    kin = hbar**2 / (2.0 * mass * radius**2)
-    scale = (abs(lo) + abs(hi)) * hbar * abs(rotation_rate) \
-        + (lo * lo + hi * hi) * kin
-    if abs(e_lo - e_hi) <= 1e-12 * scale:
-        return lo if abs(lo) < abs(hi) else hi
-    return lo if e_lo < e_hi else hi
 
 
 def boltzmann_mean_winding(rotation_rate: float, radius: float, mass: float,
@@ -132,7 +95,7 @@ def boltzmann_mean_winding(rotation_rate: float, radius: float, mass: float,
     while True:
         n = np.arange(math.floor(center) - half, math.floor(center) + half + 1,
                       dtype=float)
-        energy = n * hbar * rotation_rate + n**2 * hbar**2 / (2.0 * mass * radius**2)
+        energy = mode_energy(n, rotation_rate, radius, mass)
         energy -= energy.min()
         w = np.exp(-energy / kT)
         total = w.sum()

@@ -35,14 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._constants import c, epsilon_0, hbar
+from ._constants import hbar
 from .errors import BoundaryHitError, LowCountWarning, ParameterError
 from .params import REFERENCE_WAVELENGTHS, SPECIES_PRESETS
 
 __all__ = [
-    "loss_parameter",
     "detector_photons",
-    "detector_photons_from_power",
     "shape_factor",
     "snr",
     "OptimumPoint",
@@ -57,16 +55,6 @@ __all__ = [
 S_RANGE = (1e-4, 1e2)
 XI_RANGE_FACTOR = 1e3  # xi trusted in [a/1e3, a*1e3]
 _MAX_ITER = 100
-
-
-def loss_parameter(gamma13: float, medium_length: float, v_rec: float) -> float:
-    """a = gamma13 * L_M / v_rec, the ground-coherence decay accumulated
-    over the medium at recoil speed."""
-    if medium_length <= 0 or v_rec <= 0:
-        raise ParameterError("medium_length and v_rec must be positive")
-    if gamma13 < 0:
-        raise ParameterError("gamma13 must be >= 0")
-    return gamma13 * medium_length / v_rec
 
 
 def detector_photons(cross_section: float, density: float, v_rec: float,
@@ -95,17 +83,6 @@ def detector_photons(cross_section: float, density: float, v_rec: float,
                           f"(smallest {n_d.min():.3g}): shot-noise formula is "
                           "suspect there", LowCountWarning, stacklevel=2)
     return n_d
-
-
-def detector_photons_from_power(rabi_p0: float, dipole_p: float,
-                                cross_section: float, omega_p: float,
-                                t: float, kappa: float,
-                                medium_length: float) -> float:
-    """Same count from the raw beam power,
-    (2 eps0 F c / (hbar omega_p)) * (hbar rabi_p0 / d_p)^2 * t * e^(-2 kappa L_M).
-    Must agree with detector_photons for consistent inputs."""
-    power_flux = 2.0 * epsilon_0 * cross_section * c * (hbar * rabi_p0 / dipole_p) ** 2
-    return power_flux / (hbar * omega_p) * t * math.exp(-2.0 * kappa * medium_length)
 
 
 def shape_factor(s, xi, a):

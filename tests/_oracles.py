@@ -2,13 +2,18 @@
 
 These deliberately avoid the code paths they check: the steady state is
 cross-checked by matrix-exponential time evolution, the SNR optimum by a
-brute grid plus a scipy polish, quadratures by closed forms.
+brute grid plus a scipy polish, quadratures by closed forms, the loss bound
+by the exact power-dependent absorption, the detector count by the raw beam
+power.  They share only the package's physical constants.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
+from slowgyro._constants import c, epsilon_0, hbar
 from slowgyro.sensitivity import shape_factor
 
 
@@ -59,3 +64,29 @@ def random_lambda_params(rng, gamma=1e7):
         "delta3": rng.uniform(-10, 10) * gamma,
         "doppler": rng.uniform(-0.3, 0.3) * gamma,
     }
+
+
+def absorption_exact(tan2_theta, s, gamma13, v_rec):
+    """Exact amplitude absorption k_p * chi'' at saturation s,
+    (gamma13 / c) * T / (1+s)^2 / beta with beta = 1 + (v_rec/c) T / (1+s)^3
+    and T = tan^2(theta); never above the bound gamma13 * T / c."""
+    sat2 = tan2_theta / (1.0 + s) ** 2
+    beta = 1.0 + (v_rec / c) * tan2_theta / (1.0 + s) ** 3
+    return (gamma13 / c) * sat2 / beta
+
+
+def gamma_from_dipole(d_p, omega_p):
+    """Radiative decay rate of the probe transition from its dipole moment,
+    gamma = (1/4 pi eps0) * (4/3) * d_p^2 omega_p^3 / (hbar c^3)."""
+    return d_p**2 * omega_p**3 / (3.0 * math.pi * epsilon_0 * hbar * c**3)
+
+
+def detector_photons_from_power(rabi_p0, dipole_p, cross_section, omega_p,
+                                t, kappa, medium_length):
+    """Quanta counted in time t from the raw beam power,
+    (2 eps0 F c / (hbar omega_p)) * (hbar rabi_p0 / d_p)^2 * t
+    * e^(-2 kappa L_M)."""
+    power_flux = 2.0 * epsilon_0 * cross_section * c \
+        * (hbar * rabi_p0 / dipole_p) ** 2
+    return power_flux / (hbar * omega_p) * t \
+        * math.exp(-2.0 * kappa * medium_length)

@@ -1,18 +1,14 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
-from _oracles import evolve_to_steady, random_lambda_params
-from slowgyro.bloch import (VEC_LABELS, build_generator, coherence_rho21,
-                            dump_generator_csv, first_order_correction,
-                            nonlocal_neglect_ratio, steady_state)
+from _oracles import absorption_exact, evolve_to_steady, random_lambda_params
+from slowgyro.bloch import build_generator, steady_state
 from slowgyro.errors import (DegenerateEITError, DegenerateSteadyStateError,
-                             ExpansionWarning, NonpositiveStateWarning)
+                             NonpositiveStateWarning)
 from slowgyro.params import RB87, AtomSpecies
-from slowgyro.polariton import absorption_exact, polariton_state
 
 GAMMA = 1e7
 
@@ -170,11 +166,11 @@ class TestSteadyState:
 class TestCoherence:
     def test_pure_ground_state_has_no_coherence(self):
         gen = build_generator(make_atom(), 0.0, 1e6)
-        assert coherence_rho21(steady_state(gen, 1.0)) == 0.0
+        assert steady_state(gen, 1.0).rho21 == 0.0
 
     def test_dark_state_carries_no_optical_coherence(self):
         gen = build_generator(make_atom(gamma13=0.0), 1e5, 1e6)
-        assert abs(coherence_rho21(steady_state(gen, 1.0))) <= 1e-12
+        assert abs(steady_state(gen, 1.0).rho21) <= 1e-12
 
     def test_absorptive_sign_and_magnitude_vs_susceptibility(self):
         # weak probe, small dephasing: -(g2rho/c) Im rho21 / rabi_p must
@@ -190,11 +186,11 @@ class TestCoherence:
         tan2 = c / (v_rec * xi)
         g2rho = tan2 * rabi_c**2
         gen = build_generator(atom, rabi_p, rabi_c)
-        rho21 = coherence_rho21(steady_state(gen, 1.0))
+        rho21 = steady_state(gen, 1.0).rho21
         assert rho21.imag < 0.0
         rate_bloch = -(g2rho / c) * rho21.imag / rabi_p
-        state = polariton_state(g2rho, rabi_c, rabi_p, 1.0, v_rec, gamma13)
-        rate_closed = absorption_exact(state, gamma13, v_rec, k_p)
+        rate_closed = absorption_exact(tan2, (rabi_p / rabi_c) ** 2, gamma13,
+                                       v_rec)
         assert rate_bloch == pytest.approx(rate_closed, rel=1e-2)
 
     def test_saturating_dispersion_matches_steady_state(self):
@@ -221,94 +217,3 @@ class TestCoherence:
             rate = -(g2rho / c) * odd_part.real / rabi_p
             expected = (k_p * omega * radius / c) * tan2 / (1.0 + s) ** 2
             assert rate == pytest.approx(expected, rel=1e-6)
-
-
-class TestFirstOrderCorrection:
-    def _gen(self, v_rec=5.9e-3):
-        return build_generator(make_atom(gamma13=1e3), 2e5, 1e6,
-                               k_p=8.05e6, v_rec=v_rec)
-
-    def test_uniform_profile_unchanged(self):
-        gen = self._gen()
-        rho = steady_state(gen, 1.0).rho
-        x = np.linspace(0.0, 1e-2, 65)
-        profile = np.broadcast_to(rho, (65, 3, 3)).copy()
-        corrected = first_order_correction(x, profile, gen)
-        assert np.abs(corrected - profile).max() <= 1e-14
-
-    def test_zero_recoil_is_identity(self):
-        gen = self._gen(v_rec=0.0)
-        rho = steady_state(gen, 1.0).rho
-        x = np.linspace(0.0, 1e-2, 65)
-        profile = rho[None, :, :] * (1.0 + 0.5 * x / x[-1])[:, None, None]
-        corrected = first_order_correction(x, profile, gen)
-        assert np.array_equal(corrected, profile)
-
-    def test_linear_profile_matches_analytic_operator(self):
-        # density profile n(x) = 1 + x/(2L): steady states scale linearly,
-        # the slope is exact, and the correction must equal
-        # -v_rec * Mred^{-1} Dred (d rho / dx) computed independently
-        gen = self._gen()
-        base = steady_state(gen, 1.0).rho
-        x = np.linspace(0.0, 1e-2, 65)
-        slope = 0.5 / x[-1]
-        profile = base[None, :, :] * (1.0 + slope * x)[:, None, None]
-        corrected = first_order_correction(x, profile, gen)
-
-        dvec = (slope * base).reshape(9)[:8].copy()
-        dvec[0] = 0.0
-        expected_corr = -gen.v_rec * (np.linalg.inv(gen.reduced_m) @ dvec)
-        got_corr = (corrected - profile).reshape(65, 9)[:, :8]
-        assert np.abs(got_corr - expected_corr[None, :]).max() <= \
-            1e-9 * np.abs(expected_corr).max()
-
-    def test_trace_preserved_and_hermitian(self):
-        gen = self._gen()
-        base = steady_state(gen, 1.0).rho
-        x = np.linspace(0.0, 1e-2, 65)
-        profile = base[None, :, :] * (1.0 + 0.3 * np.sin(x / x[-1]))[:, None, None]
-        corrected = first_order_correction(x, profile, gen)
-        traces_in = np.einsum("xii->x", profile)
-        traces_out = np.einsum("xii->x", corrected)
-        assert np.abs(traces_in - traces_out).max() <= 1e-14
-        herm = np.abs(corrected - corrected.conj().transpose(0, 2, 1)).max()
-        assert herm <= 1e-12
-
-    def test_warns_outside_expansion_regime(self):
-        # slow ground-coherence pumping (T ~ 0.1 s) against a 0.1 mm
-        # profile scale puts v_rec * T / L far above the 0.1 threshold
-        gen = build_generator(make_atom(gamma13=1e-4), 1e3, 1e4,
-                              v_rec=5.9e-3)
-        base = steady_state(gen, 1.0).rho
-        x = np.linspace(0.0, 1e-4, 65)
-        profile = base[None, :, :] * (1.0 + 0.9 * x / x[-1])[:, None, None]
-        with pytest.warns(ExpansionWarning):
-            first_order_correction(x, profile, gen)
-
-
-class TestDiagnostics:
-    def test_nonlocal_neglect_ratio(self):
-        gen = build_generator(make_atom(), 1e5, 1e6, rotation_rate=1e-3,
-                              radius=1.5e-3, k_p=8.05e6)
-        expected = 1e-3 * 1.5e-3 * 8.05e6 / GAMMA
-        assert nonlocal_neglect_ratio(gen) == pytest.approx(expected, rel=1e-12)
-
-    def test_csv_dump(self, tmp_path):
-        gen = build_generator(make_atom(), 1e5, 1e6, delta2=1e5)
-        m_path = tmp_path / "m.csv"
-        d_path = tmp_path / "d.csv"
-        dump_generator_csv(gen, m_path, d_path)
-        with open(m_path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][0] == "row_label"
-        assert len(rows[0]) == 1 + 18
-        assert len(rows) == 10
-        labels = [r[0] for r in rows[1:]]
-        assert "rho23(interpreted)" in labels
-        assert labels[0] == VEC_LABELS[0]
-        value = complex(float(rows[2][1]), float(rows[2][2]))
-        assert value == gen.m[1, 0]
-        with open(d_path) as fh:
-            drows = list(csv.reader(fh))
-        assert float(drows[1][1]) == 0.0  # no v_rec drift on rho11
-        assert float(drows[2][3]) == 1.0

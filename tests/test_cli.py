@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import slowgyro
 from slowgyro import sensitivity
-from slowgyro.cli import cmd_snr_sweep, main, normalize_config
+from slowgyro.cli import cmd_snr_sweep, load_config, main, normalize_config
 from slowgyro.errors import LowCountWarning
 from slowgyro.propagation import signal_phase
 
@@ -359,17 +359,91 @@ class TestValidityDomain:
             assert "eta" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _loaded_modules(statement):
+    """Sorted modules a fresh interpreter holds after `statement`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(slowgyro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, slowgyro.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    code = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    loaded = _loaded_modules("import slowgyro.cli")
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    # only steady-state needs the Bloch solver; it imports it on use
+    assert "slowgyro.bloch" not in loaded
+
+
+def test_propagation_import_loads_no_command_layer():
+    loaded = _loaded_modules("import slowgyro.propagation")
+    assert "slowgyro.sensitivity" not in loaded
+    assert "slowgyro.cli" not in loaded
+    assert "slowgyro.bloch" not in loaded
+
+
+class TestModelDomainWarnings:
+    """Configs outside the line-center EIT model the phase rates assume are
+    answered with a warning naming the condition; steady-state, which
+    models detuning exactly, stays silent."""
+
+    def test_detuned_phase_warns(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"fields.delta2_rad_s": 1e6})
+        code, out, _ = run(["phase", "--config", path], capsys)
+        assert code == 0
+        warned = json.loads(out)["warnings"]
+        assert len(warned) == 1
+        assert warned[0].startswith("EITConditionWarning: ")
+
+    def test_weak_control_warns(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"fields.rabi_c_rad_s": 1e6,
+                                       "fields.rabi_p0_rad_s": 5e5,
+                                       "geometry.atom_density_per_m3": 1e15})
+        code, out, _ = run(["omega-min", "--config", path], capsys)
+        assert code == 0
+        warned = json.loads(out)["warnings"]
+        assert any("rabi_c^2 >> gamma13*gamma1" in w for w in warned)
+
+    def test_dense_sweep_names_xi_below_one(self, tmp_path, capsys):
+        # xi ~ 0.61: the rows are the same, stderr names the condition
+        path = write_config(tmp_path, {"geometry.atom_density_per_m3": 1e24})
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run(["snr-sweep", "--config", path, "--steps", "7",
+                            "--out", str(out_path)], capsys)
+        assert code == 0
+        assert "xi < 1" in err
+        direct = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cmd_snr_sweep(load_config(path), direct, n_steps=7)
+        assert out_path.read_text() == direct.getvalue()
+
+    def test_default_config_is_silent(self, capsys):
+        for command in ("phase", "propagate", "omega-min"):
+            code, out, _ = run([command], capsys)
+            assert code == 0
+            assert json.loads(out)["warnings"] == [], command
+
+    def test_detuned_steady_state_is_silent(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"fields.delta2_rad_s": 1e6})
+        code, out, _ = run(["steady-state", "--config", path], capsys)
+        assert code == 0
+        assert json.loads(out)["warnings"] == []
+
+
+def test_readme_python_snippet_runs(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("## Python API"):]
+    start = section.index("```python\n") + len("```python\n")
+    snippet = section[start:section.index("```", start)]
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 3
 
 
 class TestOptimize:

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.constants import c, hbar
 
+from _oracles import gamma_from_dipole
 from slowgyro.errors import ParameterError
 from slowgyro.params import (NA23, RB87, AtomSpecies, ProbeControlFields,
                              RingGeometry, all_scales, coupling_constant,
                              derive_recoil, dipole_from_gamma,
-                             gamma_from_dipole, rest_energy_ratio)
+                             rest_energy_ratio)
 
 
 def fields_for(lambda_p, rabi_p0=1e5, rabi_c=1e6, k_c_parallel=0.0):
@@ -149,8 +150,8 @@ class TestGeometry:
                          atom_density=0.0, rotation_rate=1e6)
 
     def test_full_ring_area_convention(self):
-        geom = RingGeometry.full_ring(radius=2e-3, cross_section=1e-6,
-                                      atom_density=0.0)
+        geom = RingGeometry(radius=2e-3, medium_length=2 * math.pi * 2e-3,
+                            cross_section=1e-6, atom_density=0.0)
         assert geom.area == pytest.approx(2 * math.pi * (2e-3) ** 2, rel=1e-12)
 
     def test_gamma2_is_sum_of_branches(self):

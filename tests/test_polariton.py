@@ -1,159 +1,224 @@
+"""Dark-state polariton quantities of the dressed medium: the mixing angle,
+xi and the loss kappa that RingMedium owns, and the group velocity and
+rotational dispersion that its phase rates carry.
+
+The polariton group velocity v_gr = c cos^2(theta) + eta v_rec sin^2(theta)
+is written out here, independent of the program: the weak-field phase of
+one beam is k_p Omega R L_M / v_gr at eta = 1, and its light part is
+k_p Omega R L_M cos^2(theta) / v_gr at any eta.
+"""
+
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.constants import c, hbar
+from scipy.constants import c, epsilon_0, hbar
 
+from _oracles import absorption_exact
+from slowgyro.cli import RunConfig
 from slowgyro.errors import EITConditionWarning, ParameterError
-from slowgyro.params import RB87, ProbeControlFields, rest_energy_ratio
-from slowgyro.polariton import (absorption_bound, absorption_exact,
-                                group_velocity, mixing_angle, polariton_state,
-                                susceptibility, tan2_theta, xi_approx,
-                                xi_exact)
+from slowgyro.params import (RB87, AtomSpecies, ProbeControlFields,
+                             RingGeometry, rest_energy_ratio)
+from slowgyro.propagation import (PropagationGrid, RingMedium, frozen_phases,
+                                  propagate_weak, signal_phase)
+from slowgyro.ringmodes import MediumPreparation, Preparation
 
 LAMBDA = 780.24e-9
 K_P = 2 * math.pi / LAMBDA
 V_REC = hbar * K_P / RB87.mass
+RADIUS = 1.5e-3
+LENGTH = 2 * math.pi * RADIUS
+SUPERFLUID = MediumPreparation(Preparation.SUPERFLUID_RING)
+THERMAL = MediumPreparation(Preparation.THERMAL_RING, temperature=1e-6)
+
+
+def medium_with(tan2, rabi_c=1e6, rabi_p0=0.0, gamma13=1e3, omega=1e-4,
+                k_c_parallel=0.0):
+    """Medium whose density makes tan^2(theta) = g2rho / rabi_c^2 = tan2,
+    with g2rho = d^2 omega_p rho / (2 hbar eps0) written out here."""
+    fields = ProbeControlFields(lambda_p=LAMBDA, rabi_p0=rabi_p0,
+                                rabi_c=rabi_c, k_c_parallel=k_c_parallel)
+    atom = AtomSpecies(mass=RB87.mass, dipole_p=RB87.dipole_p,
+                       gamma1=RB87.gamma1, gamma3=RB87.gamma3,
+                       gamma13=gamma13, name="rb87")
+    density = tan2 * rabi_c**2 * 2 * hbar * epsilon_0 / (
+        RB87.dipole_p**2 * c * K_P)
+    geometry = RingGeometry(radius=RADIUS, medium_length=LENGTH,
+                            cross_section=1e-6, atom_density=density,
+                            rotation_rate=omega)
+    return RingMedium(atom, fields, geometry)
+
+
+def medium_at_xi(xi, **kwargs):
+    return medium_with(c / (V_REC * xi), **kwargs)
+
+
+def v_gr(tan2, eta=1.0):
+    theta = math.atan(math.sqrt(tan2))
+    return c * math.cos(theta) ** 2 + eta * V_REC * math.sin(theta) ** 2
+
+
+def weak_beam_phase(medium):
+    grid = PropagationGrid.uniform(LENGTH, 64)
+    res = propagate_weak(medium, SUPERFLUID, grid)
+    return res.light_part + res.matter_part
 
 
 class TestMixingAngle:
     def test_no_medium(self):
-        assert mixing_angle(0.0, 1e6) == 0.0
+        medium = medium_with(0.0)
+        assert medium.tan2_theta == 0.0
+        assert math.isinf(medium.xi)
 
     def test_equal_coupling(self):
-        assert mixing_angle(1e12, 1e6) == pytest.approx(math.pi / 4, rel=1e-12)
+        # g2rho = rabi_c^2 puts the mixing angle at pi/4
+        medium = medium_with(1.0)
+        assert medium.tan2_theta == pytest.approx(1.0, rel=1e-8)
+        assert math.atan(math.sqrt(medium.tan2_theta)) == \
+            pytest.approx(math.pi / 4, rel=1e-8)
 
     def test_critical_angle_ratio(self):
-        g2rho = (c / V_REC) * 1e12
-        state = polariton_state(g2rho, 1e6, 0.0, 1.0, V_REC, 0.0)
-        assert state.theta_crit_ratio == pytest.approx(1.0, rel=1e-12)
-        assert state.xi == pytest.approx(1.0, rel=1e-12)
+        medium = medium_with(c / V_REC)
+        assert medium.tan2_theta * V_REC / c == pytest.approx(1.0, rel=1e-8)
+        assert medium.xi == pytest.approx(1.0, rel=1e-8)
 
     def test_control_required(self):
         with pytest.raises(ParameterError):
-            tan2_theta(1e12, 0.0)
+            ProbeControlFields(lambda_p=LAMBDA, rabi_p0=0.0, rabi_c=0.0)
 
 
 class TestGroupVelocity:
     def test_vacuum(self):
-        assert group_velocity(0.0, 1.0, V_REC) == c
+        # no medium: the probe is light at v_gr = c
+        phase = weak_beam_phase(medium_with(0.0))
+        assert phase == pytest.approx(K_P * 1e-4 * RADIUS * LENGTH / c,
+                                      rel=1e-12)
 
     def test_pure_matter_wave(self):
-        assert group_velocity(math.pi / 2, 1.0, V_REC) == \
-            pytest.approx(V_REC, rel=1e-9)
+        # theta -> pi/2: the polariton moves at the recoil velocity
+        phase = weak_beam_phase(medium_at_xi(1e-9))
+        assert phase == pytest.approx(K_P * 1e-4 * RADIUS * LENGTH / V_REC,
+                                      rel=1e-6)
 
     def test_critical_angle_value(self):
-        # cos^2(theta_crit) = v_rec/(c+v_rec): v_gr = 2 c v_rec/(c+v_rec);
-        # tolerance limited by the angle representation near pi/2
-        theta = math.atan(math.sqrt(c / V_REC))
-        assert group_velocity(theta, 1.0, V_REC) == \
-            pytest.approx(2 * c * V_REC / (c + V_REC), rel=1e-6)
+        # cos^2(theta_crit) = v_rec/(c+v_rec): v_gr = 2 c v_rec/(c+v_rec)
+        phase = weak_beam_phase(medium_with(c / V_REC))
+        expected_v = 2 * c * V_REC / (c + V_REC)
+        assert phase == pytest.approx(K_P * 1e-4 * RADIUS * LENGTH
+                                      / expected_v, rel=1e-8)
 
     def test_monotone_decreasing_in_theta(self):
-        thetas = np.linspace(0.0, math.pi / 2, 200)
-        values = [group_velocity(t, 1.0, V_REC) for t in thetas]
-        assert all(b < a for a, b in zip(values, values[1:]))
+        # denser medium, larger theta, slower polariton, larger phase
+        phases = [weak_beam_phase(medium_with(t2))
+                  for t2 in np.geomspace(1e-6, 1e16, 200)]
+        assert all(b > a for a, b in zip(phases, phases[1:]))
 
 
 class TestXi:
     def test_critical_angle_is_one(self):
-        theta = math.atan(math.sqrt(c / V_REC))
-        assert xi_exact(theta, V_REC) == pytest.approx(1.0, rel=1e-9)
+        assert medium_with(c / V_REC).xi == pytest.approx(1.0, rel=1e-8)
 
     def test_approx_slow_light(self):
-        assert xi_approx(3 * V_REC, V_REC, 1.0) == pytest.approx(2.0, rel=1e-12)
+        # xi ~ v_gr / v_rec - eta for v_gr << c
+        medium = medium_at_xi(2.0)
+        assert medium.xi == pytest.approx(
+            v_gr(medium.tan2_theta) / V_REC - 1.0, rel=1e-8)
 
     def test_reciprocal_scaling(self):
-        theta = math.atan(math.sqrt(10.0 * c / V_REC))
-        assert xi_exact(theta, V_REC) == pytest.approx(0.1, rel=1e-9)
+        assert medium_with(10.0 * c / V_REC).xi == \
+            pytest.approx(0.1, rel=1e-8)
 
     def test_infinite_sentinel_at_zero_angle(self):
-        assert math.isinf(xi_exact(0.0, V_REC))
-        state = polariton_state(0.0, 1e6, 0.0, 1.0, V_REC, 1e3)
-        assert state.xi_is_infinite
-        assert state.kappa == 0.0
+        medium = medium_with(0.0, gamma13=1e3)
+        assert math.isinf(medium.xi)
+        assert medium.kappa == 0.0
 
     @given(st.floats(min_value=1e-3, max_value=math.pi / 2 - 1e-3))
     def test_exact_approx_identity(self, theta):
-        # xi_approx / xi_exact = 1 - v_gr/c holds exactly, so the relative
-        # gap between the two forms is v_gr/c
-        v_gr = group_velocity(theta, 1.0, V_REC)
-        exact = xi_exact(theta, V_REC)
-        approx = xi_approx(v_gr, V_REC, 1.0)
-        assert abs(approx - exact) / exact <= v_gr / c * (1 + 1e-6) + 1e-12
-        assert approx / exact == pytest.approx(1.0 - v_gr / c, rel=1e-6)
-
-
-def chi(rabi_p, rabi_c=1e6, g2rho=None, gamma13=1e3, omega=1e-4,
-        radius=1.5e-3, gate=1.0, xi=2.0):
-    if g2rho is None:
-        g2rho = (c / (V_REC * xi)) * rabi_c**2
-    return susceptibility(rabi_p, rabi_c, g2rho, gamma13, omega, radius,
-                          K_P, V_REC, matter_gate=gate)
+        # (v_gr/v_rec - eta) / xi = 1 - v_gr/c holds exactly, so the
+        # relative gap between the slow-light form and xi is v_gr/c
+        medium = medium_with(math.tan(theta) ** 2)
+        speed = v_gr(medium.tan2_theta)
+        approx = speed / V_REC - 1.0
+        assert approx / medium.xi == pytest.approx(1.0 - speed / c, rel=1e-6)
 
 
 class TestSusceptibility:
+    """The rotational dispersion chi' as the phase rates carry it, through
+    frozen_phases (each phase is its rate times L_M)."""
+
     def test_no_rotation_no_dispersion(self):
-        assert chi(1e5, omega=0.0).chi_prime == 0.0
+        medium = medium_at_xi(2.0, rabi_p0=1e5, omega=0.0)
+        assert frozen_phases(medium, SUPERFLUID, 0.01) == (0.0, 0.0)
 
     def test_perfect_eit_no_absorption(self):
-        assert chi(1e5, gamma13=0.0).chi_double_prime == 0.0
+        medium = medium_at_xi(2.0, rabi_p0=1e5, gamma13=0.0)
+        assert medium.kappa == 0.0
+        grid = PropagationGrid.uniform(LENGTH, 64)
+        res = signal_phase(medium, SUPERFLUID, grid, frozen_s=True)
+        assert res.amplitude_ratio == 1.0
 
     def test_strong_probe_approaches_bare_light(self):
-        omega, radius = 1e-4, 1.5e-3
-        bare = omega * radius / c
+        medium = medium_at_xi(1e5)
+        bare = K_P * 1e-4 * RADIUS * LENGTH / c
         deviations = []
         for s in (1e2, 1e4, 1e6):
-            rabi_p = math.sqrt(s) * 1e6
-            res = chi(rabi_p, omega=omega, radius=radius, xi=1e5)
-            deviations.append(abs(res.chi_prime / bare - 1.0))
+            light, matter = frozen_phases(medium, SUPERFLUID, s)
+            deviations.append(abs((light + matter) / bare - 1.0))
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
         assert deviations[-1] < 1e-3
 
     def test_chi_prime_odd_in_rotation(self):
-        plus = chi(2e5, omega=3e-4).chi_prime
-        minus = chi(2e5, omega=-3e-4).chi_prime
-        assert plus == -minus
+        plus = frozen_phases(medium_at_xi(2.0, omega=3e-4), SUPERFLUID, 0.04)
+        minus = frozen_phases(medium_at_xi(2.0, omega=-3e-4), SUPERFLUID,
+                              0.04)
+        assert plus == (-minus[0], -minus[1])
 
     def test_chi_double_prime_even_in_rotation(self):
-        plus = chi(2e5, omega=3e-4).chi_double_prime
-        minus = chi(2e5, omega=-3e-4).chi_double_prime
+        plus = medium_at_xi(2.0, omega=3e-4).kappa
+        minus = medium_at_xi(2.0, omega=-3e-4).kappa
         assert plus == minus
         assert plus > 0.0
 
     def test_weak_field_limit_reproduces_two_term_phase_rate(self):
-        # k_p chi'(s=0) must equal (2 pi Omega R / lambda c) *
+        # the s = 0 phase must equal (2 pi Omega R L_M / lambda c) *
         # [xi/(xi+1) + (m c^2 / hbar omega_p) / (xi+1)] over a wide xi range
         fields = ProbeControlFields(lambda_p=LAMBDA, rabi_p0=0.0, rabi_c=1e6)
         ratio = rest_energy_ratio(RB87, fields)
-        omega, radius = 7.29e-5, 1.5e-3
+        omega = 7.29e-5
         for xi in np.geomspace(1e-3, 1e3, 31):
-            res = chi(0.0, omega=omega, radius=radius, xi=float(xi))
-            got = K_P * res.chi_prime
-            expected = (2 * math.pi * omega * radius / (LAMBDA * c)) * (
-                xi / (xi + 1.0) + ratio / (xi + 1.0))
-            assert got == pytest.approx(expected, rel=1e-6)
+            medium = medium_at_xi(float(xi), omega=omega)
+            light, matter = frozen_phases(medium, SUPERFLUID, 0.0)
+            expected = (2 * math.pi * omega * RADIUS * LENGTH / (LAMBDA * c)) \
+                * (xi / (xi + 1.0) + ratio / (xi + 1.0))
+            assert light + matter == pytest.approx(expected, rel=1e-6)
 
     def test_thermal_gate_leaves_light_dispersion(self):
-        gated = chi(0.0, gate=0.0, xi=2.0)
-        # matter term removed, polariton drag (beta) kept
-        expected = (1e-4 * 1.5e-3 / c) / gated.beta
-        assert gated.chi_prime == pytest.approx(expected, rel=1e-12)
+        medium = medium_at_xi(2.0)
+        light, matter = frozen_phases(medium, THERMAL, 0.0)
+        # matter term removed, polariton drag 1 + 1/xi kept
+        assert matter == 0.0
+        assert light == pytest.approx(K_P * 1e-4 * RADIUS * LENGTH / c
+                                      / (1.0 + 1.0 / 2.0), rel=1e-8)
 
     def test_eit_condition_warning_attached(self):
+        # a control field with rabi_c^2 < 100 gamma13 gamma1 leaves EIT
+        medium = medium_at_xi(2.0, rabi_c=1e3, rabi_p0=1e2)
+        config = RunConfig(atom=medium.atom, fields=medium.fields,
+                           geometry=medium.geometry, preparation=SUPERFLUID,
+                           grid_points=64, detection_time=1.0)
         with pytest.warns(EITConditionWarning):
-            res = susceptibility(1e2, 1e3, 1e6, 1e3, 1e-4, 1.5e-3, K_P,
-                                 V_REC, gamma1=1e7)
-        assert res.warnings
+            config.medium()
 
 
 class TestAbsorption:
     def test_perfect_coherence_no_loss(self):
-        assert absorption_bound(2.0, 0.0, V_REC) == 0.0
+        assert medium_at_xi(2.0, gamma13=0.0).kappa == 0.0
 
     def test_bound_value(self):
-        assert absorption_bound(2.0, 1e3, 5.885e-3) == \
+        # gamma13 / (v_rec xi) with v_rec = 5.885e-3 m/s
+        assert medium_at_xi(2.0, gamma13=1e3).kappa == \
             pytest.approx(8.496e4, rel=1e-3)
 
     def test_exact_below_bound_random_sweep(self):
@@ -162,38 +227,36 @@ class TestAbsorption:
             xi = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e4))))
             s = float(np.exp(rng.uniform(np.log(1e-6), np.log(1e3))))
             gamma13 = float(np.exp(rng.uniform(np.log(1.0), np.log(1e5))))
-            rabi_c = 1e6
-            g2rho = (c / (V_REC * xi)) * rabi_c**2
-            state = polariton_state(g2rho, rabi_c, math.sqrt(s) * rabi_c,
-                                    1.0, V_REC, gamma13)
-            exact = absorption_exact(state, gamma13, V_REC, K_P)
-            bound = absorption_bound(xi, gamma13, V_REC)
-            assert exact <= bound * (1 + 1e-12)
+            medium = medium_at_xi(xi, gamma13=gamma13)
+            exact = absorption_exact(medium.tan2_theta, s, gamma13, V_REC)
+            assert exact <= medium.kappa * (1 + 1e-12)
 
     def test_exact_tends_to_bound_at_zero_saturation(self):
         # beta -> 1 for xi >> 1, where the s = 0 absorption meets the bound
-        gamma13 = 1e3
         for xi, tol in ((1e3, 2e-3), (1e6, 2e-6)):
-            g2rho = (c / (V_REC * xi)) * 1e12
-            state = polariton_state(g2rho, 1e6, 0.0, 1.0, V_REC, gamma13)
-            exact = absorption_exact(state, gamma13, V_REC, K_P)
-            bound = absorption_bound(xi, gamma13, V_REC)
-            assert exact == pytest.approx(bound, rel=tol)
-            assert exact <= bound
+            medium = medium_at_xi(xi, gamma13=1e3)
+            exact = absorption_exact(medium.tan2_theta, 0.0, 1e3, V_REC)
+            assert exact == pytest.approx(medium.kappa, rel=tol)
+            assert exact <= medium.kappa
 
 
 class TestPolaritonState:
     def test_group_velocity_identity(self):
-        state = polariton_state(5e13, 1e6, 3e5, 0.7, V_REC, 1e3)
-        theta = math.atan(math.sqrt(state.tan2_theta))
-        recomputed = c * math.cos(theta) ** 2 + 0.7 * V_REC * math.sin(theta) ** 2
-        assert state.v_gr == pytest.approx(recomputed, rel=1e-12)
+        # eta = 0.7: the light part is the photonic fraction cos^2(theta)
+        # of a wave moving at v_gr
+        medium = medium_with(50.0, k_c_parallel=0.3 * K_P)
+        grid = PropagationGrid.uniform(LENGTH, 64)
+        light = propagate_weak(medium, SUPERFLUID, grid).light_part
+        cos2 = 1.0 / (1.0 + medium.tan2_theta)
+        assert light == pytest.approx(
+            K_P * 1e-4 * RADIUS * LENGTH * cos2
+            / v_gr(medium.tan2_theta, medium.eta), rel=1e-12)
 
     def test_kappa_is_bound(self):
-        state = polariton_state(5e13, 1e6, 3e5, 1.0, V_REC, 1e3)
-        assert state.kappa == pytest.approx(
-            absorption_bound(state.xi, 1e3, V_REC), rel=1e-12)
+        medium = medium_with(5e7, gamma13=1e3)
+        assert medium.kappa == pytest.approx(
+            1e3 / (medium.scales.v_rec * medium.xi), rel=1e-15)
 
     def test_saturation(self):
-        state = polariton_state(5e13, 1e6, 5e5, 1.0, V_REC, 0.0)
-        assert state.s == pytest.approx(0.25, rel=1e-12)
+        medium = medium_with(5e7, rabi_p0=5e5)
+        assert medium.fields.saturation0 == pytest.approx(0.25, rel=1e-12)

@@ -1,17 +1,19 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c, hbar
 
+from slowgyro.cli import RunConfig
 from slowgyro.errors import IntegrationError, ParameterError, WeakFieldWarning
 from slowgyro.params import RB87, ProbeControlFields, rest_energy_ratio
 from slowgyro.propagation import (PropagationGrid, RingMedium,
-                                  bare_sagnac_phase, dispersion_regime_check,
-                                  propagate_allorder, propagate_weak,
-                                  signal_phase, write_profile_csv)
+                                  bare_sagnac_phase, propagate_allorder,
+                                  propagate_weak, signal_phase,
+                                  write_profile_csv)
 from slowgyro.ringmodes import MediumPreparation, Preparation
 
 SUPERFLUID = MediumPreparation(Preparation.SUPERFLUID_RING)
@@ -315,23 +317,34 @@ class TestSignalPhase:
             signal_phase(medium, SUPERFLUID, grid_for(medium))
 
 
+def xi_warnings(medium):
+    """Messages of the xi < 1 warnings a command's config raises for this
+    medium."""
+    config = RunConfig(atom=medium.atom, fields=medium.fields,
+                       geometry=medium.geometry, preparation=SUPERFLUID,
+                       grid_points=128, detection_time=1.0)
+    with warnings.catch_warnings(record=True) as records:
+        warnings.simplefilter("always")
+        config.medium()
+    return [str(w.message) for w in records if "xi < 1" in str(w.message)]
+
+
 class TestDispersionRegimeCheck:
+    """xi < 1 (mixing angle beyond critical) is flagged by RunConfig.medium,
+    which every propagation and sensitivity command builds its medium
+    through."""
+
     def test_silent_below_critical(self):
-        medium = medium_for(a=0.0, xi=2.0)
-        assert dispersion_regime_check(medium.state0) is None
+        assert xi_warnings(medium_for(a=0.0, xi=2.0)) == []
 
     def test_warns_above_critical(self):
         medium = medium_for(a=0.0, xi=0.5)
-        with pytest.warns(UserWarning):
-            msg = dispersion_regime_check(medium.state0)
-        assert msg is not None
+        assert medium.xi == pytest.approx(0.5, rel=1e-12)
+        assert len(xi_warnings(medium)) == 1
 
     def test_boundary_at_xi_one(self):
-        just_below = medium_for(a=0.0, xi=1.0000001)
-        assert dispersion_regime_check(just_below.state0) is None
-        just_above = medium_for(a=0.0, xi=0.9999999)
-        with pytest.warns(UserWarning):
-            assert dispersion_regime_check(just_above.state0) is not None
+        assert xi_warnings(medium_for(a=0.0, xi=1.0000001)) == []
+        assert len(xi_warnings(medium_for(a=0.0, xi=0.9999999))) == 1
 
 
 class TestKernelProperties:

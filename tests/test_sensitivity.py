@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar
 
-from _oracles import brute_optimum
+from _oracles import brute_optimum, detector_photons_from_power
 from slowgyro import sensitivity
 from slowgyro.errors import BoundaryHitError, LowCountWarning, ParameterError
-from slowgyro.params import NA23
+from slowgyro.params import NA23, RingGeometry
 from slowgyro.propagation import PropagationGrid, RingMedium, signal_phase
 from slowgyro.ringmodes import MediumPreparation, Preparation
-from slowgyro.sensitivity import (case_study, detector_photons,
-                                  detector_photons_from_power, loss_parameter,
-                                  omega_min, optimize_snr, prefactor_f,
-                                  shape_factor, snr)
+from slowgyro.sensitivity import (case_study, detector_photons, omega_min,
+                                  optimize_snr, prefactor_f, shape_factor, snr)
 
 V_REC_NA = 2.9468e-2
 
@@ -92,10 +90,14 @@ class TestSnr:
         assert value == pytest.approx(0.1393 / math.sqrt(50.0), rel=0.01)
 
     def test_loss_parameter(self):
-        assert loss_parameter(1e3, 9.42e-3, 5.885e-3) == \
-            pytest.approx(1e3 * 9.42e-3 / 5.885e-3, rel=1e-12)
+        medium = RingMedium.from_dimensionless(a=1.0, xi=2.0, s0=0.1,
+                                               medium_length=9.42e-3)
+        expected = (medium.atom.gamma13 * 9.42e-3) / medium.scales.v_rec
+        assert medium.loss_parameter == pytest.approx(expected, rel=1e-12)
+        assert medium.loss_parameter == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(ParameterError):
-            loss_parameter(1e3, -1.0, 5.885e-3)
+            RingGeometry(radius=1.5e-3, medium_length=-1.0,
+                         cross_section=1e-6, atom_density=0.0)
 
 
 class TestOptimizer:
