@@ -32,13 +32,13 @@ import numpy as np
 
 from . import __version__
 from .errors import (BoundaryHitError, ConfigError,
-                     DegenerateSteadyStateError, EITConditionWarning,
-                     IntegrationError, ParameterError)
+                     DegenerateSteadyStateError, IntegrationError,
+                     ParameterError)
 from .params import (SPECIES_PRESETS, REFERENCE_WAVELENGTHS, AtomSpecies,
                      ProbeControlFields, RingGeometry, all_scales)
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
-                          frozen_phases, propagate_allorder, signal_phase,
-                          write_profile_csv)
+                          check_validity, frozen_phases, propagate_allorder,
+                          signal_phase, write_profile_csv)
 from .ringmodes import MediumPreparation, Preparation
 from .sensitivity import (CASE_CROSS_SECTION, CASE_DENSITY, CASE_PRESETS,
                           case_study, detector_photons, omega_min,
@@ -115,25 +115,10 @@ class RunConfig:
     provenance: list = field(default_factory=list)
 
     def medium(self) -> RingMedium:
-        """The config's ring medium.  Warns once per call for each way the
-        config leaves the line-center EIT model that propagation and the
-        sensitivity formulas assume: a nonzero detuning or a control field
-        too weak for EIT (EITConditionWarning), and xi < 1, beyond the
-        critical mixing angle (UserWarning)."""
-        medium = RingMedium(self.atom, self.fields, self.geometry)
-        fields, atom = self.fields, self.atom
-        if fields.delta2 != 0.0 or fields.delta3 != 0.0:
-            warnings.warn("nonzero detuning: the phase rates are line-center "
-                          "results", EITConditionWarning, stacklevel=2)
-        if fields.rabi_c**2 < 100.0 * atom.gamma13 * atom.gamma1:
-            warnings.warn("EIT condition rabi_c^2 >> gamma13*gamma1 violated",
-                          EITConditionWarning, stacklevel=2)
-        if medium.xi < 1.0:
-            warnings.warn(
-                f"tan^2(theta) = {1.0 / medium.xi:.3g} * (c/v_rec) exceeds "
-                "the critical mixing angle; neglected kinetic dispersion "
-                "matters here (xi < 1)", UserWarning, stacklevel=2)
-        return medium
+        """The config's ring medium.  Whether the model answers for it is
+        decided by propagation.check_validity, which every propagation and
+        sensitivity command passes through once."""
+        return RingMedium(self.atom, self.fields, self.geometry)
 
     def grid(self) -> PropagationGrid:
         return PropagationGrid.uniform(self.geometry.medium_length,
@@ -320,7 +305,7 @@ class ResultEnvelope:
 def cmd_steady_state(config: RunConfig) -> ResultEnvelope:
     """Steady state of the driven Lambda system, normalized to unit trace.
     It models the detunings exactly, so it raises none of the EIT-model
-    warnings of RunConfig.medium."""
+    warnings of propagation.check_validity."""
     from .bloch import build_generator, steady_state
 
     env = ResultEnvelope("steady-state", config.echo, {})
@@ -482,6 +467,7 @@ def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
         if config is None:
             raise ConfigError("<args>", "omega-min needs --config or --case")
         medium = config.medium()
+        check_validity(medium, config.preparation, "sensitivity")
         geometry = config.geometry
         v_rec = medium.scales.v_rec
         a_cfg = medium.loss_parameter
@@ -574,47 +560,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args, text):
+    """Run the selected command, CSV tables into `text`; returns (config,
+    envelope), each None where the command has none."""
+    config = env = None
+    if args.command == "optimize":
+        cmd_optimize(_parse_a_list(args.a_list), text)
+    elif args.command == "omega-min" and args.case is not None:
+        if args.config is not None or args.grid is not None:
+            raise ConfigError("--case", "a case study takes no --config "
+                              "or --grid")
+        env = cmd_omega_min(case=args.case, species=args.species,
+                            a_value=args.a_value, t=args.time,
+                            area_convention=args.area)
+    else:
+        overrides = {}
+        if args.grid is not None:
+            overrides["grid.n_points"] = args.grid
+        config = load_config(args.config, overrides)
+        if args.command == "steady-state":
+            env = cmd_steady_state(config)
+        elif args.command == "propagate":
+            env = cmd_propagate(config, direction=args.direction,
+                                profile_out=args.profile_out)
+        elif args.command == "phase":
+            env = cmd_phase(config, profile_out=args.profile_out)
+        elif args.command == "snr-sweep":
+            cmd_snr_sweep(config, text, s_min=args.s_min,
+                          s_max=args.s_max, n_steps=args.steps)
+        elif args.command == "omega-min":
+            env = cmd_omega_min(config=config)
+        else:  # pragma: no cover
+            raise ConfigError("<args>", f"unknown command {args.command}")
+    return config, env
+
+
 def _run(args) -> int:
-    config = None
     env = None
     text = io.StringIO()  # the output, written only once the command succeeded
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
+        try:
+            config, env = _dispatch(args, text)
+        finally:  # CSV commands, and failed ones, report warnings on stderr
+            captured = [f"{w.category.__name__}: {w.message}" for w in records]
+            if env is None:
+                for line in captured:
+                    print(f"warning: {line}", file=sys.stderr)
 
-        if args.command == "optimize":
-            cmd_optimize(_parse_a_list(args.a_list), text)
-        elif args.command == "omega-min" and args.case is not None:
-            if args.config is not None or args.grid is not None:
-                raise ConfigError("--case", "a case study takes no --config "
-                                  "or --grid")
-            env = cmd_omega_min(case=args.case, species=args.species,
-                                a_value=args.a_value, t=args.time,
-                                area_convention=args.area)
-        else:
-            overrides = {}
-            if args.grid is not None:
-                overrides["grid.n_points"] = args.grid
-            config = load_config(args.config, overrides)
-            if args.command == "steady-state":
-                env = cmd_steady_state(config)
-            elif args.command == "propagate":
-                env = cmd_propagate(config, direction=args.direction,
-                                    profile_out=args.profile_out)
-            elif args.command == "phase":
-                env = cmd_phase(config, profile_out=args.profile_out)
-            elif args.command == "snr-sweep":
-                cmd_snr_sweep(config, text, s_min=args.s_min,
-                              s_max=args.s_max, n_steps=args.steps)
-            elif args.command == "omega-min":
-                env = cmd_omega_min(config=config)
-            else:  # pragma: no cover
-                raise ConfigError("<args>", f"unknown command {args.command}")
-        captured = [f"{w.category.__name__}: {w.message}" for w in records]
-
-    if env is None:  # CSV commands report their warnings on stderr
-        for line in captured:
-            print(f"warning: {line}", file=sys.stderr)
-    else:
+    if env is not None:
         env.warnings.extend(captured)
         fmt = (args.format or (config.output_format if config else None)
                or "json")

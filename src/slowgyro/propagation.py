@@ -24,6 +24,10 @@ every phase increment and leaves the amplitude unchanged.  The
 counter-propagating beam is therefore the mirror of the co-propagating run
 (conjugate log-amplitude, phase_ccw = -phase_cw) and is not integrated a
 second time.
+
+check_validity decides the model's domain in one place: propagate_weak,
+propagate_allorder and frozen_phases each pass through it once, and
+`omega-min` calls it for the matter-wave sensitivity.
 """
 
 import math
@@ -33,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._constants import c, epsilon_0, hbar
-from .errors import IntegrationError, ParameterError, WeakFieldWarning
+from .errors import (EITConditionWarning, IntegrationError, ParameterError,
+                     WeakFieldWarning)
 from .params import (RB87, REFERENCE_WAVELENGTHS, AtomSpecies,
                      ProbeControlFields, RingGeometry, all_scales)
 from .ringmodes import MediumPreparation, matter_term_gate
@@ -42,6 +47,7 @@ __all__ = [
     "PropagationGrid",
     "RingMedium",
     "PropagationResult",
+    "check_validity",
     "propagate_weak",
     "propagate_allorder",
     "signal_phase",
@@ -172,9 +178,43 @@ class PropagationResult:
     s_profile: np.ndarray
     xi_profile: np.ndarray
     x: np.ndarray
-    phase_profile: np.ndarray = field(default=None)
-    amplitude_profile: np.ndarray = field(default=None)
+    phase_profile: np.ndarray
+    amplitude_profile: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+
+def check_validity(medium: RingMedium, prep: MediumPreparation, mode: str):
+    """Refuse (ParameterError) or warn where the line-center EIT model
+    does not answer for this medium.  mode is "weak", "saturating"
+    (all-order and frozen-s) or "sensitivity" (the matter-wave SNR).
+    Refuses eta != 1 outside weak mode, and a preparation that gates the
+    matter term to zero in sensitivity mode.  Warns for a nonzero detuning
+    or rabi_c^2 < 100 gamma13 gamma1 (EITConditionWarning), for xi < 1,
+    beyond the critical mixing angle (UserWarning), and in weak mode for
+    s(0) > 0.01 (WeakFieldWarning)."""
+    if mode != "weak" and abs(medium.eta - 1.0) > 1e-9:
+        raise ParameterError(
+            f"the {mode} model requires eta = 1 (perpendicular control), "
+            f"got eta = {medium.eta}")
+    if mode == "sensitivity" and matter_term_gate(prep) == 0.0:
+        raise ParameterError(
+            f"preparation {prep.kind.value} gates the matter term to zero; "
+            "the matter-wave sensitivity needs a superfluid_ring")
+    fields, atom = medium.fields, medium.atom
+    if fields.delta2 != 0.0 or fields.delta3 != 0.0:
+        warnings.warn("nonzero detuning: the phase rates are line-center "
+                      "results", EITConditionWarning, stacklevel=3)
+    if fields.rabi_c**2 < 100.0 * atom.gamma13 * atom.gamma1:
+        warnings.warn("EIT condition rabi_c^2 >> gamma13*gamma1 violated",
+                      EITConditionWarning, stacklevel=3)
+    if medium.xi < 1.0:
+        warnings.warn(
+            f"tan^2(theta) = {1.0 / medium.xi:.3g} * (c/v_rec) exceeds "
+            "the critical mixing angle; neglected kinetic dispersion "
+            "matters here (xi < 1)", UserWarning, stacklevel=3)
+    if mode == "weak" and fields.saturation0 > 0.01:
+        warnings.warn(f"s(0) = {fields.saturation0:.3g} > 0.01: outside the "
+                      "weak-field regime", WeakFieldWarning, stacklevel=3)
 
 
 def bare_sagnac_phase(rotation_rate: float, radius: float, medium_length: float,
@@ -206,7 +246,7 @@ def frozen_phases(medium: RingMedium, prep: MediumPreparation, s):
     saturation frozen at s along the whole medium: each phase is its rate
     times L_M.  s may be a scalar or an array.  Requires full momentum
     transfer (eta = 1), where the saturating rates hold."""
-    _require_full_transfer(medium, "frozen-s propagation")
+    check_validity(medium, prep, "saturating")
     light_rate, matter_rate = _phase_rates(
         medium, s, matter_term_gate(prep), medium.geometry.rotation_rate)
     length = medium.geometry.medium_length
@@ -250,25 +290,14 @@ def propagate_weak(medium: RingMedium, prep: MediumPreparation,
     """
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
+    check_validity(medium, prep, "weak")
     s0 = medium.fields.saturation0
-    if s0 > 0.01:
-        warnings.warn(f"s(0) = {s0:.3g} > 0.01: outside the weak-field regime",
-                      WeakFieldWarning, stacklevel=2)
     gate = matter_term_gate(prep)
     length = medium.geometry.medium_length
     phases = [rate * length for rate in
               _phase_rates(medium, 0.0, gate, medium.geometry.rotation_rate)]
     return _uniform_result(medium, grid, gate, direction, phases, s0, 0.0,
                            "weak")
-
-
-def _require_full_transfer(medium: RingMedium, what: str):
-    """The saturating susceptibility holds only for full momentum transfer
-    (eta = 1); refuse other media rather than answer for a different model."""
-    if abs(medium.eta - 1.0) > 1e-9:
-        raise ParameterError(
-            f"{what} requires eta = 1 (perpendicular control), got "
-            f"eta = {medium.eta}")
 
 
 def _rhs(y, loss, pref, tan2, rc2, vrec_c, gate):
@@ -360,7 +389,7 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     """
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
-    _require_full_transfer(medium, "all-order propagation")
+    check_validity(medium, prep, "saturating")
     if rabi_p0 is None:
         rabi_p0 = medium.fields.rabi_p0
     if rabi_p0 <= 0:
@@ -445,13 +474,9 @@ def write_profile_csv(result: PropagationResult, path, rabi_p0: float = 1.0):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x_m", "abs_rabi_p_rad_s", "phase_rad",
                          "saturation", "xi"])
-        amp = (result.amplitude_profile if result.amplitude_profile is not None
-               else np.ones_like(result.x))
-        phase = (result.phase_profile if result.phase_profile is not None
-                 else np.zeros_like(result.x))
         for i in range(result.x.size):
             writer.writerow([repr(float(result.x[i])),
-                             repr(float(rabi_p0 * amp[i])),
-                             repr(float(phase[i])),
+                             repr(float(rabi_p0 * result.amplitude_profile[i])),
+                             repr(float(result.phase_profile[i])),
                              repr(float(result.s_profile[i])),
                              repr(float(result.xi_profile[i]))])

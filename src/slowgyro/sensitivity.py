@@ -20,8 +20,8 @@ rate follows by setting SNR = 1,
     Omega_min = (hbar/m) / A * (F rho v_rec t)^(-1/2) * f * sqrt(a),
 
 where f = 1 / (g_max(a) * sqrt(a)) tends to about 7.18 for large a.
-The exact optimizer result is used by default so that the SNR evaluated at
-Omega_min is exactly one; the large-a prefactor is available separately.
+f is the exact optimizer value for the given a, so the SNR evaluated at
+Omega_min is exactly one.
 
 The SNR here keeps only the dominant matter-wave phase and composes with
 the per-beam signal phase of the propagation module (its light/matter
@@ -45,7 +45,6 @@ __all__ = [
     "snr",
     "OptimumPoint",
     "optimize_snr",
-    "prefactor_f",
     "omega_min",
     "SensitivityReport",
     "case_study",
@@ -172,30 +171,16 @@ def optimize_snr(a: float) -> OptimumPoint:
                         g_max=float(shape_factor(s_opt, xi_opt, a)))
 
 
-def prefactor_f(a: float = 1e4) -> float:
-    """Large-a prefactor f = 1 / (g_max(a) sqrt(a)), evaluated at a = 1e4
-    by default where it has converged to three digits (~7.18)."""
-    return optimize_snr(a).f_estimate
-
-
 def omega_min(area: float, cross_section: float, density: float, v_rec: float,
-              t: float, a: float, mass: float,
-              f_mode: str = "exact") -> float:
+              t: float, a: float, mass: float) -> float:
     """Minimum detectable rotation rate
-    (hbar/m) / A * (F rho v_rec t)^(-1/2) * f * sqrt(a).
-
-    f_mode="exact" uses the optimizer value f = 1/(g_max(a) sqrt(a)) so that
-    the SNR at Omega_min is exactly one for this a; f_mode="asymptotic"
-    uses the large-a constant from prefactor_f().
+    (hbar/m) / A * (F rho v_rec t)^(-1/2) * f * sqrt(a), with the optimizer
+    value f = 1/(g_max(a) sqrt(a)), so the SNR at Omega_min is exactly one
+    for this a.
     """
     if min(area, cross_section, density, v_rec, t, mass) <= 0 or a <= 0:
         raise ParameterError("omega_min arguments must be positive")
-    if f_mode == "exact":
-        f_val = optimize_snr(a).f_estimate
-    elif f_mode == "asymptotic":
-        f_val = prefactor_f()
-    else:
-        raise ParameterError(f"unknown f_mode {f_mode!r}")
+    f_val = optimize_snr(a).f_estimate
     flux = math.sqrt(cross_section * density * v_rec * t)
     return hbar / mass / area / flux * f_val * math.sqrt(a)
 
@@ -228,8 +213,7 @@ CASE_CROSS_SECTION = 1e-6  # m^2
 
 
 def case_study(name: str, species: str = "na23", a: float = 2.9,
-               t: float = 1.0, area_convention: str = "ring",
-               f_mode: str = "exact") -> SensitivityReport:
+               t: float = 1.0, area_convention: str = "ring") -> SensitivityReport:
     """Sensitivity budget for one of the circular-waveguide case studies.
 
     The species, loss parameter and detection time are free choices (the
@@ -244,8 +228,6 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
     if species not in SPECIES_PRESETS:
         raise ParameterError(f"unknown species {species!r}; "
                              f"known: {sorted(SPECIES_PRESETS)}")
-    if f_mode not in ("exact", "asymptotic"):
-        raise ParameterError(f"unknown f_mode {f_mode!r}")
     radius = CASE_PRESETS[key]["radius"]
     atom = SPECIES_PRESETS[species]
     lambda_p = REFERENCE_WAVELENGTHS[species]
@@ -260,9 +242,8 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
         raise ParameterError(f"unknown area convention {area_convention!r}")
 
     opt = optimize_snr(a)
-    f_val = opt.f_estimate if f_mode == "exact" else prefactor_f()
     om = omega_min(area, CASE_CROSS_SECTION, CASE_DENSITY, v_rec, t, a,
-                   atom.mass, f_mode)
+                   atom.mass)
     n_d = detector_photons(CASE_CROSS_SECTION, CASE_DENSITY, v_rec, t,
                            opt.xi_opt, opt.s_opt, a)
     noise = 1.0 / math.sqrt(n_d)
@@ -280,10 +261,10 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
         f"area convention {area_convention}: A = {area:.6g} m^2 "
         + ("(A = R*L_M with L_M = 2*pi*R)" if area_convention == "ring"
            else "(disk, pi R^2)"),
-        f"f_mode={f_mode}: f = {f_val:.5g}",
+        f"f_mode=exact: f = {opt.f_estimate:.5g}",
         "matter-wave term only; shot noise only (no technical noise)",
     ]
     return SensitivityReport(n_d=n_d, delta_phi_noise=noise, snr=snr_at_min,
                              s_opt=opt.s_opt, xi_opt=opt.xi_opt,
-                             g_max=opt.g_max, f=f_val, omega_min=om,
+                             g_max=opt.g_max, f=opt.f_estimate, omega_min=om,
                              assumptions=assumptions)

@@ -352,11 +352,33 @@ class TestValidityDomain:
             self, tmp_path, capsys):
         # k_c_parallel = 4e6 /m gives eta ~ 0.5, outside the saturating model
         path = write_config(tmp_path, {"fields.k_c_parallel_per_m": 4e6})
-        for command in ("propagate", "phase", "snr-sweep"):
+        for command in ("propagate", "phase", "snr-sweep", "omega-min"):
             code, out, err = run([command, "--config", path], capsys)
             assert code == 1, command
             assert out == ""
             assert "eta" in err
+
+    @pytest.mark.parametrize("prep", [
+        {"preparation.kind": "thermal_ring", "preparation.temperature_K": 1e-6},
+        {"preparation.kind": "longitudinal_trap"}])
+    def test_gated_preparation_refused_by_omega_min_only(
+            self, tmp_path, capsys, prep):
+        # the matter-wave Omega_min has no matter term to stand on; the
+        # phase commands answer with the matter term gated to zero
+        path = write_config(tmp_path, prep)
+        code, out, err = run(["omega-min", "--config", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert prep["preparation.kind"] in err
+        code, out, _ = run(["phase", "--config", path], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["matter_part"]["value"] == 0.0
+        code, out, _ = run(["snr-sweep", "--config", path, "--steps", "5"],
+                           capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5
+        assert all(float(row["snr_matter"]) == 0.0 for row in rows)
 
 
 def _loaded_modules(statement):
@@ -420,6 +442,17 @@ class TestModelDomainWarnings:
             warnings.simplefilter("ignore")
             cmd_snr_sweep(load_config(path), direct, n_steps=7)
         assert out_path.read_text() == direct.getvalue()
+
+    def test_failed_command_still_names_its_warnings(self, tmp_path, capsys):
+        # xi ~ 0.61: phase warns, then the kernel cannot resolve the loss
+        path = write_config(tmp_path, {"geometry.atom_density_per_m3": 1e24})
+        code, out, err = run(["phase", "--config", path], capsys)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("warning: UserWarning: ")
+        assert "xi < 1" in lines[0]
+        assert lines[-1].startswith("numerical failure: ")
 
     def test_default_config_is_silent(self, capsys):
         for command in ("phase", "propagate", "omega-min"):

@@ -16,12 +16,11 @@ from hypothesis import given, strategies as st
 from scipy.constants import c, epsilon_0, hbar
 
 from _oracles import absorption_exact
-from slowgyro.cli import RunConfig
 from slowgyro.errors import EITConditionWarning, ParameterError
 from slowgyro.params import (RB87, AtomSpecies, ProbeControlFields,
                              RingGeometry, rest_energy_ratio)
-from slowgyro.propagation import (PropagationGrid, RingMedium, frozen_phases,
-                                  propagate_weak, signal_phase)
+from slowgyro.propagation import (PropagationGrid, RingMedium, check_validity,
+                                  frozen_phases, propagate_weak, signal_phase)
 from slowgyro.ringmodes import MediumPreparation, Preparation
 
 LAMBDA = 780.24e-9
@@ -205,11 +204,8 @@ class TestSusceptibility:
     def test_eit_condition_warning_attached(self):
         # a control field with rabi_c^2 < 100 gamma13 gamma1 leaves EIT
         medium = medium_at_xi(2.0, rabi_c=1e3, rabi_p0=1e2)
-        config = RunConfig(atom=medium.atom, fields=medium.fields,
-                           geometry=medium.geometry, preparation=SUPERFLUID,
-                           grid_points=64, detection_time=1.0)
         with pytest.warns(EITConditionWarning):
-            config.medium()
+            check_validity(medium, SUPERFLUID, "saturating")
 
 
 class TestAbsorption:

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import c, hbar
 
-from slowgyro.cli import RunConfig
-from slowgyro.errors import IntegrationError, ParameterError, WeakFieldWarning
+from slowgyro.errors import (EITConditionWarning, IntegrationError,
+                             ParameterError, WeakFieldWarning)
 from slowgyro.params import RB87, ProbeControlFields, rest_energy_ratio
 from slowgyro.propagation import (PropagationGrid, RingMedium,
-                                  bare_sagnac_phase, propagate_allorder,
-                                  propagate_weak, signal_phase,
-                                  write_profile_csv)
+                                  bare_sagnac_phase, check_validity,
+                                  propagate_allorder, propagate_weak,
+                                  signal_phase, write_profile_csv)
 from slowgyro.ringmodes import MediumPreparation, Preparation
 
 SUPERFLUID = MediumPreparation(Preparation.SUPERFLUID_RING)
@@ -318,21 +318,17 @@ class TestSignalPhase:
 
 
 def xi_warnings(medium):
-    """Messages of the xi < 1 warnings a command's config raises for this
+    """Messages of the xi < 1 warnings the validity gate raises for this
     medium."""
-    config = RunConfig(atom=medium.atom, fields=medium.fields,
-                       geometry=medium.geometry, preparation=SUPERFLUID,
-                       grid_points=128, detection_time=1.0)
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
-        config.medium()
+        check_validity(medium, SUPERFLUID, "saturating")
     return [str(w.message) for w in records if "xi < 1" in str(w.message)]
 
 
 class TestDispersionRegimeCheck:
-    """xi < 1 (mixing angle beyond critical) is flagged by RunConfig.medium,
-    which every propagation and sensitivity command builds its medium
-    through."""
+    """xi < 1 (mixing angle beyond critical) is flagged by check_validity,
+    which every propagation and sensitivity command passes through."""
 
     def test_silent_below_critical(self):
         assert xi_warnings(medium_for(a=0.0, xi=2.0)) == []
@@ -345,6 +341,17 @@ class TestDispersionRegimeCheck:
     def test_boundary_at_xi_one(self):
         assert xi_warnings(medium_for(a=0.0, xi=1.0000001)) == []
         assert len(xi_warnings(medium_for(a=0.0, xi=0.9999999))) == 1
+
+
+class TestValidityGate:
+    def test_detuned_signal_phase_warns(self):
+        base = medium_for(a=1.0, xi=2.0, s0=1e-2)
+        fields = ProbeControlFields(lambda_p=780.24e-9,
+                                    rabi_p0=base.fields.rabi_p0,
+                                    rabi_c=base.fields.rabi_c, delta2=1e6)
+        medium = RingMedium(base.atom, fields, base.geometry)
+        with pytest.warns(EITConditionWarning, match="nonzero detuning"):
+            signal_phase(medium, SUPERFLUID, grid_for(medium))
 
 
 class TestKernelProperties:

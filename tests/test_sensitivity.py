@@ -13,7 +13,7 @@ from slowgyro.params import NA23, RingGeometry
 from slowgyro.propagation import PropagationGrid, RingMedium, signal_phase
 from slowgyro.ringmodes import MediumPreparation, Preparation
 from slowgyro.sensitivity import (case_study, detector_photons, omega_min,
-                                  optimize_snr, prefactor_f, shape_factor, snr)
+                                  optimize_snr, shape_factor, snr)
 
 V_REC_NA = 2.9468e-2
 
@@ -190,8 +190,11 @@ class TestOptimizer:
 
 
 class TestPrefactor:
+    """The large-a prefactor f = 1 / (g_max sqrt(a)), read at a = 1e4 where
+    it has converged to three digits."""
+
     def test_value_in_quoted_band(self):
-        f = prefactor_f()
+        f = optimize_snr(1e4).f_estimate
         assert 7.1 <= f <= 7.3
 
     def test_matches_analytic_asymptote(self):
@@ -199,7 +202,8 @@ class TestPrefactor:
         # g ~ (4/(3 sqrt(3))) * (27/128) * sqrt(2) * e^(-1/2) / sqrt(a)
         g_asym = (4.0 / (3.0 * math.sqrt(3.0))) * (27.0 / 128.0) \
             * math.sqrt(2.0) * math.exp(-0.5)
-        assert prefactor_f() == pytest.approx(1.0 / g_asym, rel=2e-4)
+        assert optimize_snr(1e4).f_estimate == \
+            pytest.approx(1.0 / g_asym, rel=2e-4)
 
     def test_converged_between_decades(self):
         f3 = optimize_snr(1e3).f_estimate
@@ -231,8 +235,9 @@ class TestOmegaMin:
 
     def test_asymptotic_mode(self):
         exact = omega_min(self.AREA, 1e-6, 1e20, V_REC_NA, 1.0, 2.9, NA23.mass)
-        asym = omega_min(self.AREA, 1e-6, 1e20, V_REC_NA, 1.0, 2.9, NA23.mass,
-                         f_mode="asymptotic")
+        # the same rate with the large-a prefactor in place of the exact one
+        asym = exact / optimize_snr(2.9).f_estimate \
+            * optimize_snr(1e4).f_estimate
         # at a = 2.9 the exact prefactor sits ~6.5% above the asymptote
         assert asym < exact < 1.15 * asym
 
@@ -279,18 +284,15 @@ class TestCaseStudies:
         with pytest.raises(ParameterError):
             case_study("unknown")
 
-    def test_unknown_f_mode_rejected(self):
-        with pytest.raises(ParameterError, match="f_mode"):
-            case_study("gupta", f_mode="bogus")
-
-    @pytest.mark.parametrize("f_mode", ["exact", "asymptotic"])
+    @pytest.mark.parametrize("f_mode", ["exact"])
     def test_f_modes_agree_with_omega_min(self, f_mode):
-        report = case_study("gupta", species="na23", a=2.9, f_mode=f_mode)
+        report = case_study("gupta", species="na23", a=2.9)
         v_rec = hbar * (2.0 * math.pi / 589.0e-9) / NA23.mass
         area = 1.5e-3 * (2.0 * math.pi * 1.5e-3)
         assert report.omega_min == omega_min(
             area, sensitivity.CASE_CROSS_SECTION, sensitivity.CASE_DENSITY,
-            v_rec, 1.0, 2.9, NA23.mass, f_mode=f_mode)
+            v_rec, 1.0, 2.9, NA23.mass)
+        assert f"f_mode={f_mode}: f = {report.f:.5g}" in report.assumptions
 
 
 class TestComposedPipeline:
