@@ -34,23 +34,22 @@ from . import __version__
 from .errors import (BoundaryHitError, ConfigError,
                      DegenerateSteadyStateError, IntegrationError,
                      ParameterError)
-from .params import (SPECIES_PRESETS, REFERENCE_WAVELENGTHS, AtomSpecies,
-                     ProbeControlFields, RingGeometry, all_scales)
+from .params import (REFERENCE_WAVELENGTHS, RING_PRESETS, SPECIES_PRESETS,
+                     AtomSpecies, ProbeControlFields, RingGeometry, all_scales)
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
                           check_validity, frozen_phases, propagate_allorder,
                           signal_phase, write_profile_csv)
 from .ringmodes import MediumPreparation, Preparation
-from .sensitivity import (CASE_CROSS_SECTION, CASE_DENSITY, CASE_PRESETS,
-                          case_study, detector_photons, omega_min,
-                          optimize_snr)
+from .sensitivity import (case_study, detector_photons, optimize_snr,
+                          sensitivity_budget)
 
 DEFAULT_A_LIST = (0.05, 0.5, 5.0, 50.0, 500.0, 5000.0)
 
 GEOMETRY_PRESETS = {
-    name: {"geometry.radius_m": preset["radius"],
-           "geometry.cross_section_m2": CASE_CROSS_SECTION,
-           "geometry.atom_density_per_m3": CASE_DENSITY}
-    for name, preset in CASE_PRESETS.items()}
+    name: {"geometry.radius_m": ring["radius"],
+           "geometry.cross_section_m2": ring["cross_section"],
+           "geometry.atom_density_per_m3": ring["density"]}
+    for name, ring in RING_PRESETS.items()}
 
 _POSITIVE = ("must be a positive number", lambda v: v > 0)
 _NONNEG = ("must be >= 0", lambda v: v >= 0)
@@ -333,8 +332,8 @@ def cmd_steady_state(config: RunConfig) -> ResultEnvelope:
     return env
 
 
-def _phase_envelope(command: str, config: RunConfig,
-                    result) -> ResultEnvelope:
+def _phase_envelope(command: str, config: RunConfig, result,
+                    profile_out: str | None) -> ResultEnvelope:
     env = ResultEnvelope(command, config.echo, {})
     env.add("delta_phi_sig", result.delta_phi_sig, "rad")
     env.add("phase_cw", result.phase_cw, "rad")
@@ -352,17 +351,17 @@ def _phase_envelope(command: str, config: RunConfig,
         f"preparation {config.preparation.kind.value}: matter term "
         f"{'kept' if config.preparation.kind is Preparation.SUPERFLUID_RING else 'gated to zero'}")
     env.assumptions.extend(config.provenance)
-    return env
-
-
-def cmd_phase(config: RunConfig, profile_out: str | None = None) -> ResultEnvelope:
-    """Differential Sagnac signal phase with its light/matter split."""
-    result = signal_phase(config.medium(), config.preparation, config.grid())
-    env = _phase_envelope("phase", config, result)
     if profile_out:
         write_profile_csv(result, profile_out, config.fields.rabi_p0)
         env.assumptions.append(f"profile written to {profile_out}")
     return env
+
+
+def cmd_phase(config: RunConfig, profile_out: str | None = None) -> ResultEnvelope:
+    """Differential Sagnac signal phase with its light/matter split: the
+    co-propagating beam of cmd_propagate."""
+    result = signal_phase(config.medium(), config.preparation, config.grid())
+    return _phase_envelope("phase", config, result, profile_out)
 
 
 def cmd_propagate(config: RunConfig, direction: int = 1,
@@ -370,13 +369,10 @@ def cmd_propagate(config: RunConfig, direction: int = 1,
     """All-order propagation of one beam; optional per-x profile CSV."""
     result = propagate_allorder(config.medium(), config.preparation,
                                 config.grid(), direction=direction)
-    env = _phase_envelope("propagate", config, result)
+    env = _phase_envelope("propagate", config, result, profile_out)
     env.add("direction", direction, "sign (+1 co-rotating)")
     env.add("richardson_phase", result.diagnostics.get("richardson_phase", 0.0),
             "rad")
-    if profile_out:
-        write_profile_csv(result, profile_out, config.fields.rabi_p0)
-        env.assumptions.append(f"profile written to {profile_out}")
     return env
 
 
@@ -402,7 +398,7 @@ def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
     s_values = np.geomspace(s_min, s_max, n_steps)
     rabi_c = config.fields.rabi_c
     rabi_p0 = np.sqrt(s_values) * rabi_c
-    # phases at the s that signal_phase derives from each row's rabi_p0
+    # phases with s frozen at each row's input saturation
     light, matter = frozen_phases(medium, config.preparation,
                                   (rabi_p0 / rabi_c) ** 2)
     root = np.sqrt(detector_photons(geometry.cross_section,
@@ -435,33 +431,23 @@ STATE_OF_THE_ART = {
 
 
 def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
-                  species: str = "na23", a_value: float = 2.9,
-                  t: float = 1.0, area_convention: str = "ring") -> ResultEnvelope:
-    """Minimum detectable rotation rate from a config or a case study."""
+                  species: str = "na23", a: float = 2.9, time: float = 1.0,
+                  area: str = "ring") -> ResultEnvelope:
+    """Minimum detectable rotation rate from a config or a case study; both
+    report the sensitivity_budget at the optimum operating point."""
     if case is not None:
-        report = case_study(case, species=species, a=a_value, t=t,
-                            area_convention=area_convention)
+        report = case_study(case, species=species, a=a, t=time,
+                            area_convention=area)
         env = ResultEnvelope("omega-min", {"case": case, "species": species,
-                                           "a": a_value, "t_s": t,
-                                           "area_convention": area_convention},
-                             {})
-        env.add("omega_min", report.omega_min, "rad/s/sqrt(Hz)")
-        env.add("s_opt", report.s_opt, "dimensionless")
-        env.add("xi_opt", report.xi_opt, "dimensionless")
-        env.add("g_max", report.g_max, "dimensionless")
-        env.add("f", report.f, "dimensionless")
-        env.add("n_D", report.n_d, "quanta")
-        env.add("delta_phi_noise", report.delta_phi_noise, "rad")
-        env.add("snr_at_omega_min", report.snr, "dimensionless")
-        env.assumptions.extend(report.assumptions)
+                                           "a": a, "t_s": time,
+                                           "area_convention": area}, {})
         other = "arnold" if case.lower() == "gupta" else "gupta"
-        other_report = case_study(other, species=species, a=a_value, t=t,
-                                  area_convention=area_convention)
+        other_report = case_study(other, species=species, a=a, t=time,
+                                  area_convention=area)
+        gupta, arnold = ((report, other_report) if other == "arnold"
+                         else (other_report, report))
         env.add(f"omega_min_{other}", other_report.omega_min, "rad/s/sqrt(Hz)")
-        env.add("gupta_arnold_ratio",
-                (report.omega_min / other_report.omega_min
-                 if case.lower() == "gupta"
-                 else other_report.omega_min / report.omega_min),
+        env.add("gupta_arnold_ratio", gupta.omega_min / arnold.omega_min,
                 "dimensionless (area scaling (96/3)^2 = 1024)")
     else:
         if config is None:
@@ -469,27 +455,28 @@ def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
         medium = config.medium()
         check_validity(medium, config.preparation, "sensitivity")
         geometry = config.geometry
-        v_rec = medium.scales.v_rec
         a_cfg = medium.loss_parameter
-        om = omega_min(geometry.area, geometry.cross_section,
-                       geometry.atom_density, v_rec, config.detection_time,
-                       a_cfg, config.atom.mass)
-        opt = optimize_snr(a_cfg)
+        report = sensitivity_budget(geometry, geometry.area,
+                                    medium.scales.v_rec, config.detection_time,
+                                    a_cfg, config.atom.mass)
+        report.assumptions = [
+            f"area convention A = R*L_M = {geometry.area:.6g} m^2",
+            "exact optimizer prefactor (SNR at omega_min is 1)",
+            *config.provenance]
         env = ResultEnvelope("omega-min", config.echo, {})
-        env.add("omega_min", om, "rad/s/sqrt(Hz)")
         env.add("a", a_cfg, "dimensionless")
-        env.add("s_opt", opt.s_opt, "dimensionless")
-        env.add("xi_opt", opt.xi_opt, "dimensionless")
-        env.add("g_max", opt.g_max, "dimensionless")
-        env.add("f", opt.f_estimate, "dimensionless")
-        env.assumptions.append(
-            f"area convention A = R*L_M = {geometry.area:.6g} m^2")
-        env.assumptions.append("exact optimizer prefactor (SNR at omega_min is 1)")
-        env.assumptions.extend(config.provenance)
+    env.add("omega_min", report.omega_min, "rad/s/sqrt(Hz)")
+    env.add("s_opt", report.s_opt, "dimensionless")
+    env.add("xi_opt", report.xi_opt, "dimensionless")
+    env.add("g_max", report.g_max, "dimensionless")
+    env.add("f", report.f, "dimensionless")
+    env.add("n_D", report.n_d, "quanta")
+    env.add("delta_phi_noise", report.delta_phi_noise, "rad")
+    env.add("snr_at_omega_min", report.snr, "dimensionless")
+    env.assumptions.extend(report.assumptions)
     for name, value in STATE_OF_THE_ART.items():
         env.add(f"benchmark_{name}", value, "rad/s/sqrt(Hz)")
-        env.add(f"ratio_to_{name}",
-                env.results["omega_min"]["value"] / value, "dimensionless")
+        env.add(f"ratio_to_{name}", report.omega_min / value, "dimensionless")
     return env
 
 
@@ -517,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"slowgyro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p):
         p.add_argument("--config", default=None,
                        help="JSON config file (flat namespaced keys)")
         p.add_argument("--out", default=None,
@@ -551,28 +538,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega-min", help="minimum detectable rotation rate")
     common(p)
-    p.add_argument("--case", choices=sorted(CASE_PRESETS), default=None)
-    p.add_argument("--species", choices=sorted(SPECIES_PRESETS),
-                   default="na23")
-    p.add_argument("--a", type=float, default=2.9, dest="a_value")
-    p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--area", choices=("ring", "disk"), default="ring")
+    p.add_argument("--case", choices=sorted(RING_PRESETS), default=None)
+    # case-study inputs; unset ones take cmd_omega_min's defaults
+    p.add_argument("--species", choices=sorted(SPECIES_PRESETS))
+    p.add_argument("--a", type=float)
+    p.add_argument("--time", type=float)
+    p.add_argument("--area", choices=("ring", "disk"))
     return parser
+
+
+_CASE_FLAGS = ("species", "a", "time", "area")
+# the flags each command accepts but does not read: a given one is refused
+# instead of echoed or dropped
+UNREAD_FLAGS = {"steady-state": ("grid",), "snr-sweep": ("grid", "format"),
+                "omega-min": ("grid",) + _CASE_FLAGS,
+                "omega-min --case": ("config", "grid")}
 
 
 def _dispatch(args, text):
     """Run the selected command, CSV tables into `text`; returns (config,
     envelope), each None where the command has none."""
     config = env = None
+    case = getattr(args, "case", None)
+    label = args.command + (" --case" if case is not None else "")
+    for flag in UNREAD_FLAGS.get(label, ()):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag}",
+                              f"slowgyro {label} does not read --{flag}")
     if args.command == "optimize":
         cmd_optimize(_parse_a_list(args.a_list), text)
-    elif args.command == "omega-min" and args.case is not None:
-        if args.config is not None or args.grid is not None:
-            raise ConfigError("--case", "a case study takes no --config "
-                              "or --grid")
-        env = cmd_omega_min(case=args.case, species=args.species,
-                            a_value=args.a_value, t=args.time,
-                            area_convention=args.area)
+    elif case is not None:
+        env = cmd_omega_min(case=case, **{flag: getattr(args, flag)
+                                          for flag in _CASE_FLAGS
+                                          if getattr(args, flag) is not None})
     else:
         overrides = {}
         if args.grid is not None:

@@ -239,3 +239,10 @@ NA23 = _species("na23", mass=3.8176e-26, gamma_rad=2.0 * math.pi * 9.79e6,
                 gamma13=1.0e3)
 
 SPECIES_PRESETS = {"rb87": RB87, "na23": NA23}
+
+# State-of-the-art circular BEC waveguides: ring diameters 3 mm and 96 mm,
+# toroid cross-section ~1e-2 cm^2, BEC density 1e14 cm^-3.
+RING_PRESETS = {
+    "gupta": {"radius": 1.5e-3, "cross_section": 1e-6, "density": 1e20},
+    "arnold": {"radius": 48e-3, "cross_section": 1e-6, "density": 1e20},
+}

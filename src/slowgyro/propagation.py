@@ -39,7 +39,7 @@ import numpy as np
 from ._constants import c, epsilon_0, hbar
 from .errors import (EITConditionWarning, IntegrationError, ParameterError,
                      WeakFieldWarning)
-from .params import (RB87, REFERENCE_WAVELENGTHS, AtomSpecies,
+from .params import (RB87, REFERENCE_WAVELENGTHS, RING_PRESETS, AtomSpecies,
                      ProbeControlFields, RingGeometry, all_scales)
 from .ringmodes import MediumPreparation, matter_term_gate
 
@@ -58,6 +58,7 @@ __all__ = [
 
 MAX_STEP_CHANGE = 0.1   # per-step |d ln(rabi_p)| above which the step fails
 _MAX_REFINE = 64        # refinement floor: give up past this many substeps
+_GUPTA = RING_PRESETS["gupta"]  # from_dimensionless's default ring
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,15 @@ class RingMedium:
 
     @classmethod
     def from_dimensionless(cls, a: float, xi: float, s0: float,
-                           rotation_rate: float = 0.0, radius: float = 1.5e-3,
+                           rotation_rate: float = 0.0,
+                           radius: float = _GUPTA["radius"],
                            medium_length: float | None = None,
                            rabi_c: float = 1.0e6,
                            atom: AtomSpecies = RB87,
-                           cross_section: float = 1.0e-6) -> "RingMedium":
-        """Medium realizing prescribed (a, xi, s0) on a physical backbone.
+                           cross_section: float = _GUPTA["cross_section"]
+                           ) -> "RingMedium":
+        """Medium realizing prescribed (a, xi, s0) on a physical backbone
+        (by default the gupta ring's radius and cross-section).
 
         Chooses the atomic density to hit xi and the ground-coherence
         dephasing to hit a, keeping every stored quantity SI.
@@ -374,8 +378,8 @@ def _integrate_beam(medium: RingMedium, gate: float, rotation_rate: float,
 
 
 def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
-                       grid: PropagationGrid, direction: int = 1,
-                       rabi_p0: float | None = None) -> PropagationResult:
+                       grid: PropagationGrid,
+                       direction: int = 1) -> PropagationResult:
     """Propagation with the saturating susceptibility re-evaluated at the
     local probe amplitude and the power-independent loss bound.
 
@@ -384,21 +388,22 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     diagnostics is raised.  The result carries a Richardson convergence
     estimate in diagnostics["richardson_phase"].  The kernel runs for the
     co-propagating beam only; the counter-propagating one is its mirror
-    (see the module docstring).  Requires full momentum transfer (eta = 1),
-    as signal_phase does.
+    (see the module docstring).  A zero probe keeps s = 0 along the whole
+    medium, which is the exact solution; it is answered in closed form
+    (frozen_phases at s = 0).  Requires full momentum transfer (eta = 1).
     """
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
-    check_validity(medium, prep, "saturating")
-    if rabi_p0 is None:
-        rabi_p0 = medium.fields.rabi_p0
-    if rabi_p0 <= 0:
-        raise ParameterError("all-order propagation needs rabi_p0 > 0")
     gate = matter_term_gate(prep)
+    if medium.fields.rabi_p0 == 0.0:
+        return _uniform_result(medium, grid, gate, direction,
+                               frozen_phases(medium, prep, 0.0), 0.0,
+                               medium.kappa, "allorder")
+    check_validity(medium, prep, "saturating")
     omega = medium.geometry.rotation_rate
 
     y_cw, phase_cw, richardson, max_step, substeps = _integrate_beam(
-        medium, gate, omega, rabi_p0, grid)
+        medium, gate, omega, medium.fields.rabi_p0, grid)
 
     y_sel = y_cw if direction == 1 else y_cw.conjugate()
     amp = np.exp(y_sel.real - y_sel.real[0])
@@ -439,29 +444,11 @@ def _split_phase(medium, gate, rotation_rate, s_profile, grid, direction,
 
 
 def signal_phase(medium: RingMedium, prep: MediumPreparation,
-                 grid: PropagationGrid, rabi_p0: float | None = None,
-                 frozen_s: bool = False) -> PropagationResult:
-    """Differential Sagnac signal with its light/matter split.
-
-    By default the saturation follows its self-consistent profile s(x): the
-    result is the co-propagating beam of propagate_allorder, labelled mode
-    "signal".  frozen_s=True (or a zero probe) pins s(x) at its input value,
-    the uniform-medium analytic estimate used for the sensitivity
-    optimization; each phase is then its rate times L_M in closed form
-    (frozen_phases).  Requires full momentum transfer (eta = 1), the regime
-    in which the saturating susceptibility holds.
-    """
-    if rabi_p0 is None:
-        rabi_p0 = medium.fields.rabi_p0
-
-    if frozen_s or rabi_p0 == 0.0:
-        s0 = (rabi_p0 / medium.fields.rabi_c) ** 2
-        return _uniform_result(medium, grid, matter_term_gate(prep), 1,
-                               frozen_phases(medium, prep, s0), s0,
-                               medium.kappa, "signal-frozen")
-
-    result = propagate_allorder(medium, prep, grid, direction=1,
-                                rabi_p0=rabi_p0)
+                 grid: PropagationGrid) -> PropagationResult:
+    """Differential Sagnac signal with its light/matter split: the
+    co-propagating beam of propagate_allorder (self-consistent s(x),
+    eta = 1 required), labelled mode "signal"."""
+    result = propagate_allorder(medium, prep, grid)
     result.diagnostics["mode"] = "signal"
     return result
 

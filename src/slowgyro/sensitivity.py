@@ -37,7 +37,8 @@ import numpy as np
 
 from ._constants import hbar
 from .errors import BoundaryHitError, LowCountWarning, ParameterError
-from .params import REFERENCE_WAVELENGTHS, SPECIES_PRESETS
+from .params import (REFERENCE_WAVELENGTHS, RING_PRESETS, SPECIES_PRESETS,
+                     ProbeControlFields, RingGeometry, derive_recoil)
 
 __all__ = [
     "detector_photons",
@@ -47,8 +48,8 @@ __all__ = [
     "optimize_snr",
     "omega_min",
     "SensitivityReport",
+    "sensitivity_budget",
     "case_study",
-    "CASE_PRESETS",
 ]
 
 S_RANGE = (1e-4, 1e2)
@@ -201,20 +202,29 @@ class SensitivityReport:
     assumptions: list = field(default_factory=list)
 
 
-# State-of-the-art circular BEC waveguides used for the case studies:
-# ring diameters 3 mm and 96 mm, toroid cross-section ~1e-2 cm^2, BEC
-# density 1e14 cm^-3.
-CASE_PRESETS = {
-    "gupta": {"radius": 1.5e-3},
-    "arnold": {"radius": 48e-3},
-}
-CASE_DENSITY = 1e20        # 1/m^3
-CASE_CROSS_SECTION = 1e-6  # m^2
+def sensitivity_budget(geometry: RingGeometry, area: float, v_rec: float,
+                       t: float, a: float, mass: float) -> SensitivityReport:
+    """Budget at the optimum operating point for loss parameter a: the
+    optimum (s, xi), Omega_min, the count n_D there, the phase noise
+    1/sqrt(n_D) and the SNR at Omega_min (one up to rounding).  The geometry
+    gives F and rho; the area comes apart, in the caller's convention."""
+    cross_section, density = geometry.cross_section, geometry.atom_density
+    opt = optimize_snr(a)
+    om = omega_min(area, cross_section, density, v_rec, t, a, mass)
+    n_d = detector_photons(cross_section, density, v_rec, t, opt.xi_opt,
+                           opt.s_opt, a)
+    return SensitivityReport(
+        n_d=n_d, delta_phi_noise=1.0 / math.sqrt(n_d),
+        snr=snr(om, area, cross_section, density, v_rec, t, opt.s_opt,
+                opt.xi_opt, a, mass),
+        s_opt=opt.s_opt, xi_opt=opt.xi_opt, g_max=opt.g_max,
+        f=opt.f_estimate, omega_min=om)
 
 
 def case_study(name: str, species: str = "na23", a: float = 2.9,
                t: float = 1.0, area_convention: str = "ring") -> SensitivityReport:
-    """Sensitivity budget for one of the circular-waveguide case studies.
+    """Sensitivity budget for one of the circular-waveguide case studies
+    (params.RING_PRESETS).
 
     The species, loss parameter and detection time are free choices (the
     quoted benchmark numbers do not pin them down); the defaults (sodium,
@@ -223,48 +233,41 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
     "disk" selects pi R^2 instead.
     """
     key = name.lower()
-    if key not in CASE_PRESETS:
-        raise ParameterError(f"unknown case {name!r}; known: {sorted(CASE_PRESETS)}")
+    if key not in RING_PRESETS:
+        raise ParameterError(f"unknown case {name!r}; known: {sorted(RING_PRESETS)}")
     if species not in SPECIES_PRESETS:
         raise ParameterError(f"unknown species {species!r}; "
                              f"known: {sorted(SPECIES_PRESETS)}")
-    radius = CASE_PRESETS[key]["radius"]
+    ring = RING_PRESETS[key]
+    radius = ring["radius"]
+    geometry = RingGeometry(radius=radius, medium_length=2.0 * math.pi * radius,
+                            cross_section=ring["cross_section"],
+                            atom_density=ring["density"])
     atom = SPECIES_PRESETS[species]
     lambda_p = REFERENCE_WAVELENGTHS[species]
-    k_p = 2.0 * math.pi / lambda_p
-    v_rec = hbar * k_p / atom.mass
-    length = 2.0 * math.pi * radius
+    v_rec = derive_recoil(atom, ProbeControlFields(lambda_p=lambda_p,
+                                                   rabi_p0=0.0,
+                                                   rabi_c=1.0)).v_rec
     if area_convention == "ring":
-        area = radius * length
+        area = geometry.area
     elif area_convention == "disk":
         area = math.pi * radius**2
     else:
         raise ParameterError(f"unknown area convention {area_convention!r}")
 
-    opt = optimize_snr(a)
-    om = omega_min(area, CASE_CROSS_SECTION, CASE_DENSITY, v_rec, t, a,
-                   atom.mass)
-    n_d = detector_photons(CASE_CROSS_SECTION, CASE_DENSITY, v_rec, t,
-                           opt.xi_opt, opt.s_opt, a)
-    noise = 1.0 / math.sqrt(n_d)
-    snr_at_min = snr(om, area, CASE_CROSS_SECTION, CASE_DENSITY, v_rec, t,
-                     opt.s_opt, opt.xi_opt, a, atom.mass)
-
-    assumptions = [
+    report = sensitivity_budget(geometry, area, v_rec, t, a, atom.mass)
+    report.assumptions = [
         f"case={key}: ring radius {radius} m (waveguide diameter {2*radius*1e3:.0f} mm)",
         f"species={species}: mass {atom.mass} kg, probe line {lambda_p*1e9:.2f} nm, "
         f"v_rec {v_rec:.4g} m/s",
-        f"density={CASE_DENSITY:g} /m^3 and cross_section={CASE_CROSS_SECTION:g} m^2 "
-        "(toroidal BEC figures)",
+        f"density={geometry.atom_density:g} /m^3 and "
+        f"cross_section={geometry.cross_section:g} m^2 (toroidal BEC figures)",
         f"loss parameter a={a} (free choice; not fixed by the benchmark numbers)",
         f"detection time t={t} s, so omega_min is per sqrt(Hz)",
         f"area convention {area_convention}: A = {area:.6g} m^2 "
         + ("(A = R*L_M with L_M = 2*pi*R)" if area_convention == "ring"
            else "(disk, pi R^2)"),
-        f"f_mode=exact: f = {opt.f_estimate:.5g}",
+        f"f_mode=exact: f = {report.f:.5g}",
         "matter-wave term only; shot noise only (no technical noise)",
     ]
-    return SensitivityReport(n_d=n_d, delta_phi_noise=noise, snr=snr_at_min,
-                             s_opt=opt.s_opt, xi_opt=opt.xi_opt,
-                             g_max=opt.g_max, f=opt.f_estimate, omega_min=om,
-                             assumptions=assumptions)
+    return report

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ import slowgyro
 from slowgyro import sensitivity
 from slowgyro.cli import cmd_snr_sweep, load_config, main, normalize_config
 from slowgyro.errors import LowCountWarning
-from slowgyro.propagation import signal_phase
+from slowgyro.propagation import frozen_phases
 
 
 def run(args, capsys):
@@ -330,21 +331,92 @@ class TestSweepAgreesWithOtherCommands:
     @given(data=st.data())
     def test_rows_are_frozen_signal_phase(self, data):
         config = normalize_config(_random_config(data.draw))
-        medium, grid, geo = config.medium(), config.grid(), config.geometry
+        medium, geo = config.medium(), config.geometry
         for rabi_p0, s, total, matter, light in self._sweep(config):
-            res = signal_phase(medium, config.preparation, grid,
-                               rabi_p0=rabi_p0, frozen_s=True)
+            light_phase, matter_phase = frozen_phases(
+                medium, config.preparation,
+                (rabi_p0 / config.fields.rabi_c) ** 2)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LowCountWarning)
                 root = math.sqrt(sensitivity.detector_photons(
                     geo.cross_section, geo.atom_density, medium.scales.v_rec,
                     config.detection_time, medium.xi, s,
                     medium.loss_parameter))
-            for got, phase in ((total, res.light_part + res.matter_part),
-                               (matter, res.matter_part),
-                               (light, res.light_part)):
+            for got, phase in ((total, light_phase + matter_phase),
+                               (matter, matter_phase),
+                               (light, light_phase)):
                 assert got == pytest.approx(abs(phase) * root, rel=1e-15,
                                             abs=0.0)
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run, for Hypothesis
+    tests, which cannot share the function-scoped capsys between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCommandsAgree:
+    """Cross-command properties on random configs: `phase` is the
+    co-propagating beam of `propagate`, and `omega-min --config` reports
+    its own SNR at Omega_min."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_phase_is_propagate_direction_one(self, tmp_path_factory, data):
+        raw = _random_config(data.draw)
+        raw["fields.rabi_p0_rad_s"] = data.draw(st.one_of(
+            st.just(0.0), st.floats(1e5, 1e9)))
+        path = tmp_path_factory.mktemp("agree") / "config.json"
+        path.write_text(json.dumps(raw))
+        code_phase, out_phase, err_phase = _main(["phase", "--config",
+                                                  str(path)])
+        code_prop, out_prop, err_prop = _main(["propagate", "--direction",
+                                               "1", "--config", str(path)])
+        assert code_phase == code_prop
+        assert err_phase == err_prop
+        if code_phase == 0:
+            phase, prop = json.loads(out_phase), json.loads(out_prop)
+            assert phase["warnings"] == prop["warnings"]
+            for name, entry in phase["results"].items():
+                assert prop["results"][name] == entry, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_omega_min_config_snr_is_one(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("snr") / "config.json"
+        path.write_text(json.dumps(_random_config(data.draw)))
+        code, out, err = _main(["omega-min", "--config", str(path)])
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert abs(results["snr_at_omega_min"]["value"] - 1.0) <= 1e-12
+        assert results["delta_phi_noise"]["value"] == \
+            1.0 / math.sqrt(results["n_D"]["value"])
+
+
+UNREAD = [
+    (["omega-min", "--a", "5", "--species", "na23", "--area", "disk"],
+     "--species"),
+    (["omega-min", "--a", "5"], "--a"),
+    (["omega-min", "--area", "disk"], "--area"),
+    (["omega-min", "--time", "100"], "--time"),
+    (["omega-min", "--grid", "100000"], "--grid"),
+    (["steady-state", "--grid", "100000"], "--grid"),
+    (["snr-sweep", "--grid", "64"], "--grid"),
+    (["snr-sweep", "--format", "json"], "--format"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD,
+                         ids=[" ".join(argv) for argv, _ in UNREAD])
+def test_unread_flag_refused(capsys, argv, flag):
+    # each flag is accepted by the parser but not read by the command
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {flag}: ")
 
 
 class TestValidityDomain:
@@ -555,6 +627,8 @@ class TestOmegaMin:
         env = json.loads(out)
         assert env["results"]["omega_min"]["value"] > 0
         assert env["results"]["a"]["value"] > 0
+        assert env["results"]["snr_at_omega_min"]["value"] == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_runs_on_default_config(self, capsys):
         code, out, _ = run(["omega-min"], capsys)

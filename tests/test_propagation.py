@@ -1,10 +1,11 @@
+import contextlib
 import csv
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import c, hbar
 
 from slowgyro.errors import (EITConditionWarning, IntegrationError,
@@ -12,8 +13,9 @@ from slowgyro.errors import (EITConditionWarning, IntegrationError,
 from slowgyro.params import RB87, ProbeControlFields, rest_energy_ratio
 from slowgyro.propagation import (PropagationGrid, RingMedium,
                                   bare_sagnac_phase, check_validity,
-                                  propagate_allorder, propagate_weak,
-                                  signal_phase, write_profile_csv)
+                                  frozen_phases, propagate_allorder,
+                                  propagate_weak, signal_phase,
+                                  write_profile_csv)
 from slowgyro.ringmodes import MediumPreparation, Preparation
 
 SUPERFLUID = MediumPreparation(Preparation.SUPERFLUID_RING)
@@ -29,6 +31,11 @@ def medium_for(a=1.0, xi=2.0, s0=1e-6, omega=EARTH, radius=1.5e-3):
 
 def grid_for(medium, n=128):
     return PropagationGrid.uniform(medium.geometry.medium_length, n)
+
+
+def beyond_critical():
+    """The gate's warning for a medium past the critical mixing angle."""
+    return pytest.warns(UserWarning, match="xi < 1")
 
 
 class TestGrid:
@@ -88,7 +95,8 @@ class TestWeakField:
     def test_slow_polariton_recovers_full_matter_phase(self):
         medium = medium_for(a=0.0, xi=1e-9)
         grid = grid_for(medium)
-        res = propagate_weak(medium, SUPERFLUID, grid)
+        with beyond_critical():
+            res = propagate_weak(medium, SUPERFLUID, grid)
         length = medium.geometry.medium_length
         full_matter = EARTH * 1.5e-3 * length * RB87.mass / hbar
         assert res.matter_part == pytest.approx(full_matter, rel=1e-6)
@@ -97,7 +105,8 @@ class TestWeakField:
         slow = medium_for(a=0.0, xi=1e-12, s0=1e-12)
         vacuum = medium_for(a=0.0, xi=math.inf, s0=1e-12)
         grid = grid_for(slow)
-        matter = propagate_weak(slow, SUPERFLUID, grid).matter_part
+        with beyond_critical():
+            matter = propagate_weak(slow, SUPERFLUID, grid).matter_part
         light = propagate_weak(vacuum, SUPERFLUID, grid).light_part
         expected = rest_energy_ratio(slow.atom, slow.fields)
         assert matter / light == pytest.approx(expected, rel=1e-9)
@@ -146,10 +155,13 @@ class TestAllOrder:
 
     @pytest.mark.parametrize("xi", [0.1, 1.0, 10.0, 100.0])
     def test_weak_regime_overlap(self, xi):
+        # the overlap holds past the critical angle too, where the gate warns
         medium = medium_for(a=0.0, xi=xi, s0=1e-5)
         grid = grid_for(medium)
-        weak = propagate_weak(medium, SUPERFLUID, grid)
-        full = propagate_allorder(medium, SUPERFLUID, grid)
+        with (beyond_critical() if medium.xi < 1.0
+              else contextlib.nullcontext()):
+            weak = propagate_weak(medium, SUPERFLUID, grid)
+            full = propagate_allorder(medium, SUPERFLUID, grid)
         assert full.delta_phi_sig == pytest.approx(weak.delta_phi_sig, rel=1e-4)
 
     def test_deviation_scales_with_saturation(self):
@@ -206,14 +218,26 @@ class TestAllOrder:
         assert res.light_part + res.matter_part == \
             pytest.approx(res.phase_ccw, rel=1e-8)
 
-    def test_zero_probe_rejected(self):
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_zero_probe_is_uniform_closed_form(self, direction):
+        # s = 0 along the whole medium is the exact all-order solution
         medium = medium_for(a=1.0, xi=2.0, s0=0.0)
-        with pytest.raises(ParameterError):
-            propagate_allorder(medium, SUPERFLUID, grid_for(medium))
+        res = propagate_allorder(medium, SUPERFLUID, grid_for(medium),
+                                 direction=direction)
+        light, matter = frozen_phases(medium, SUPERFLUID, 0.0)
+        assert (res.light_part, res.matter_part) == \
+            (direction * light, direction * matter)
+        assert res.phase_cw == light + matter == -res.phase_ccw
+        assert np.all(res.s_profile == 0.0)
+        assert res.amplitude_ratio == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_step_failure_raises_with_diagnostics(self):
+        # a loss far beyond the grid's resolution, in a medium past both
+        # the critical angle and the EIT condition
         medium = medium_for(a=1e6, xi=0.5, s0=1e-4, omega=0.0)
-        with pytest.raises(IntegrationError) as err:
+        with pytest.raises(IntegrationError) as err, \
+                pytest.warns(EITConditionWarning, match="EIT condition"), \
+                beyond_critical():
             propagate_allorder(medium, SUPERFLUID, grid_for(medium, 64))
         assert err.value.max_step > 0.1
         assert err.value.n_points == 64
@@ -232,12 +256,12 @@ class TestSignalPhase:
         # frozen s = 1/3 and xi = 2: per-beam matter part equals
         # (Omega R L m / hbar) * (9/16) / (2 + 27/64)
         medium = medium_for(a=0.5, xi=2.0, s0=1.0 / 3.0)
-        grid = grid_for(medium)
-        res = signal_phase(medium, SUPERFLUID, grid, frozen_s=True)
+        _, matter = frozen_phases(medium, SUPERFLUID,
+                                  medium.fields.saturation0)
         length = medium.geometry.medium_length
         base = EARTH * 1.5e-3 * length * RB87.mass / hbar
         expected = base * (9.0 / 16.0) / (2.0 + 27.0 / 64.0)
-        assert res.matter_part == pytest.approx(expected, rel=1e-9)
+        assert matter == pytest.approx(expected, rel=1e-9)
 
     def test_strong_field_limits(self):
         medium_weak = medium_for(a=0.0, xi=2.0, s0=1e-8)
@@ -261,8 +285,9 @@ class TestSignalPhase:
         medium = medium_for(a=2.0, xi=4.0, s0=1.0)
         grid = grid_for(medium)
         self_consistent = signal_phase(medium, SUPERFLUID, grid)
-        frozen = signal_phase(medium, SUPERFLUID, grid, frozen_s=True)
-        assert self_consistent.matter_part > frozen.matter_part
+        _, frozen = frozen_phases(medium, SUPERFLUID,
+                                  medium.fields.saturation0)
+        assert self_consistent.matter_part > frozen
 
     @pytest.mark.filterwarnings("ignore::slowgyro.errors.WeakFieldWarning")
     def test_thermal_and_trapped_media_lose_matter_term(self):
@@ -286,25 +311,27 @@ class TestSignalPhase:
         assert res.light_part == pytest.approx(expected, rel=1e-9)
 
     def test_allorder_profile_ends_on_phase(self):
-        medium = medium_for(a=0.1, xi=0.05, s0=1.0)
+        medium = medium_for(a=3.0, xi=1.5, s0=1.0)
         res = signal_phase(medium, SUPERFLUID, grid_for(medium, 256))
         assert res.phase_profile[-1] == pytest.approx(res.phase_cw, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::slowgyro.errors.WeakFieldWarning")
     def test_uniform_profiles_end_on_phase(self):
-        # frozen-s and weak-field profiles reach the beam phase exactly
-        for a in (0.1, 3.0, 1e3):
-            for xi_over_a in (0.5, 2.0, 20.0):
-                for s0 in (1e-3, 0.3, 1.0, 10.0):
-                    medium = medium_for(a=a, xi=xi_over_a * a, s0=s0)
+        # zero-probe all-order and weak-field profiles reach the beam
+        # phase exactly
+        for a in (0.1, 3.0, 300.0):
+            for xi in (1.5, 20.0, 2e3):
+                for s0 in (0.0, 1e-3, 0.3, 1.0, 10.0):
+                    medium = medium_for(a=a, xi=xi, s0=s0)
                     grid = grid_for(medium, 256)
-                    for res in (signal_phase(medium, SUPERFLUID, grid,
-                                             frozen_s=True),
-                                propagate_weak(medium, SUPERFLUID, grid),
-                                propagate_weak(medium, SUPERFLUID, grid,
-                                               direction=-1)):
-                        assert res.phase_profile[-1] == \
-                            res.light_part + res.matter_part
+                    kernels = (propagate_weak, propagate_allorder) \
+                        if s0 == 0.0 else (propagate_weak,)
+                    for propagate in kernels:
+                        for direction in (1, -1):
+                            res = propagate(medium, SUPERFLUID, grid,
+                                            direction=direction)
+                            assert res.phase_profile[-1] == \
+                                res.light_part + res.matter_part
 
     def test_requires_full_momentum_transfer(self):
         base = medium_for(a=0.0, xi=2.0)
@@ -355,18 +382,21 @@ class TestValidityGate:
 
 
 class TestKernelProperties:
-    """Over the operating ranges of a ring scan: the counter-propagating
-    beam is the exact mirror of the co-propagating one (checked against a
-    run of the same medium at -Omega), and the light/matter split integrates
-    the same phase as the kernel."""
+    """Over the in-domain operating ranges of a ring scan: the
+    counter-propagating beam is the exact mirror of the co-propagating one
+    (checked against a run of the same medium at -Omega), and the
+    light/matter split integrates the same phase as the kernel."""
 
     @settings(max_examples=25, deadline=None)
-    @given(a=st.floats(min_value=0.1, max_value=1e3),
+    @given(a=st.floats(min_value=0.1, max_value=400.0),
            xi_over_a=st.floats(min_value=0.5, max_value=20.0),
            s0=st.floats(min_value=1e-3, max_value=10.0),
            n=st.sampled_from([256, 1024, 4096]),
            direction=st.sampled_from([1, -1]))
     def test_mirror_and_split(self, a, xi_over_a, s0, n, direction):
+        # inside the model's domain: xi >= 1, and a <= 400 keeps
+        # rabi_c^2 = 1e12 above 100 gamma13 gamma1
+        assume(a * xi_over_a >= 1.01)
         medium = medium_for(a=a, xi=a * xi_over_a, s0=s0)
         res = propagate_allorder(medium, SUPERFLUID, grid_for(medium, n),
                                  direction=direction)

@@ -9,8 +9,8 @@ from scipy.constants import hbar
 from _oracles import brute_optimum, detector_photons_from_power
 from slowgyro import sensitivity
 from slowgyro.errors import BoundaryHitError, LowCountWarning, ParameterError
-from slowgyro.params import NA23, RingGeometry
-from slowgyro.propagation import PropagationGrid, RingMedium, signal_phase
+from slowgyro.params import NA23, RING_PRESETS, RingGeometry
+from slowgyro.propagation import RingMedium, frozen_phases
 from slowgyro.ringmodes import MediumPreparation, Preparation
 from slowgyro.sensitivity import (case_study, detector_photons, omega_min,
                                   optimize_snr, shape_factor, snr)
@@ -289,9 +289,10 @@ class TestCaseStudies:
         report = case_study("gupta", species="na23", a=2.9)
         v_rec = hbar * (2.0 * math.pi / 589.0e-9) / NA23.mass
         area = 1.5e-3 * (2.0 * math.pi * 1.5e-3)
+        gupta = RING_PRESETS["gupta"]
         assert report.omega_min == omega_min(
-            area, sensitivity.CASE_CROSS_SECTION, sensitivity.CASE_DENSITY,
-            v_rec, 1.0, 2.9, NA23.mass)
+            area, gupta["cross_section"], gupta["density"], v_rec, 1.0, 2.9,
+            NA23.mass)
         assert f"f_mode={f_mode}: f = {report.f:.5g}" in report.assumptions
 
 
@@ -306,15 +307,14 @@ class TestComposedPipeline:
         medium = RingMedium.from_dimensionless(a=a, xi=opt.xi_opt,
                                                s0=opt.s_opt,
                                                rotation_rate=omega)
-        grid = PropagationGrid.uniform(medium.geometry.medium_length, 256)
         prep = MediumPreparation(Preparation.SUPERFLUID_RING)
-        sig = signal_phase(medium, prep, grid, frozen_s=True)
+        _, matter = frozen_phases(medium, prep, medium.fields.saturation0)
         geom = medium.geometry
         n_d = detector_photons(geom.cross_section, geom.atom_density,
                                medium.scales.v_rec, 1.0, medium.xi,
                                medium.fields.saturation0,
                                medium.loss_parameter)
-        composed = sig.matter_part * math.sqrt(n_d)
+        composed = matter * math.sqrt(n_d)
         closed = snr(omega, geom.area, geom.cross_section, geom.atom_density,
                      medium.scales.v_rec, 1.0, opt.s_opt, opt.xi_opt, a,
                      medium.atom.mass)
