@@ -1,22 +1,18 @@
 """Command-line surface: config parsing, dispatch and machine-readable output.
 
-Subcommands
-    steady-state   solve the driven Lambda system and print the density matrix
-    propagate      integrate one beam around the ring, emit a per-x profile
-    phase          differential Sagnac phase with light/matter split
-    snr-sweep      SNR versus input probe power (CSV)
-    optimize       optimum (s, xi) versus loss parameter a (CSV)
-    omega-min      minimum detectable rotation rate, from a config or a
-                   built-in case study
+COMMANDS is the one description of the subcommands: the config keys each
+reads, its flags, its runner and its output kind.  The parser, the echo of
+an envelope and the refusals all come from it.
 
 Configuration is a flat JSON object with namespaced keys carrying units in
 their names (atom.mass_kg, fields.lambda_p_m, geometry.radius_m, ...).
-Unknown keys are rejected.  Results are emitted as JSON envelopes (every
-number tagged with its unit, inputs echoed, assumptions and warnings
-listed) or as CSV tables with a header row, dot decimals and newline
-terminated rows.
+Unknown keys and non-finite numbers are rejected.  Results are emitted as
+JSON envelopes (every number tagged with its unit, inputs echoed,
+assumptions and warnings listed) or as CSV tables with a header row, dot
+decimals and newline terminated rows.
 
-Exit status: 0 success, 1 validation error, 2 numerical failure.
+Exit status: 0 success, 1 validation or usage error (`config error: <key
+or flag>: ...`, an unknown or malformed flag included), 2 numerical failure.
 """
 
 import argparse
@@ -27,6 +23,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +32,7 @@ from .errors import (BoundaryHitError, ConfigError,
                      DegenerateSteadyStateError, IntegrationError,
                      ParameterError)
 from .params import (REFERENCE_WAVELENGTHS, RING_PRESETS, SPECIES_PRESETS,
-                     AtomSpecies, ProbeControlFields, RingGeometry, all_scales)
+                     AtomSpecies, ProbeControlFields, RingGeometry)
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
                           check_validity, frozen_phases, propagate_allorder,
                           signal_phase, write_profile_csv)
@@ -45,59 +42,54 @@ from .sensitivity import (case_study, detector_photons, optimize_snr,
 
 DEFAULT_A_LIST = (0.05, 0.5, 5.0, 50.0, 500.0, 5000.0)
 
+ATOM_PRESETS = {
+    name: {"atom.mass_kg": species.mass,
+           "atom.dipole_p_Cm": species.dipole_p,
+           "atom.gamma1_per_s": species.gamma1,
+           "atom.gamma3_per_s": species.gamma3,
+           "fields.lambda_p_m": REFERENCE_WAVELENGTHS[name]}
+    for name, species in SPECIES_PRESETS.items()}
 GEOMETRY_PRESETS = {
     name: {"geometry.radius_m": ring["radius"],
            "geometry.cross_section_m2": ring["cross_section"],
            "geometry.atom_density_per_m3": ring["density"]}
     for name, ring in RING_PRESETS.items()}
 
+NOT_FINITE = "must be a finite number (got {!r})"
 _POSITIVE = ("must be a positive number", lambda v: v > 0)
 _NONNEG = ("must be >= 0", lambda v: v >= 0)
-_ANY = ("must be a number", lambda v: True)
+_GRID = ("must be an integer >= 64", lambda v: v >= 64)
 
-# key -> (python type, (message, predicate))
+# key -> (python type, (message, predicate) or None, default or None);
+# every float must be finite.  Presets fill the keys without a default.
 KEY_SPECS = {
-    "atom.preset": (str, None),
-    "atom.mass_kg": (float, _POSITIVE),
-    "atom.dipole_p_Cm": (float, _NONNEG),
-    "atom.gamma1_per_s": (float, _NONNEG),
-    "atom.gamma3_per_s": (float, _NONNEG),
-    "atom.gamma13_per_s": (float, _NONNEG),
-    "fields.lambda_p_m": (float, _POSITIVE),
-    "fields.rabi_p0_rad_s": (float, _NONNEG),
-    "fields.rabi_c_rad_s": (float, _POSITIVE),
-    "fields.k_c_parallel_per_m": (float, _ANY),
-    "fields.delta2_rad_s": (float, _ANY),
-    "fields.delta3_rad_s": (float, _ANY),
-    "geometry.preset": (str, None),
-    "geometry.radius_m": (float, _POSITIVE),
-    "geometry.medium_length_m": (float, _POSITIVE),
-    "geometry.cross_section_m2": (float, _POSITIVE),
-    "geometry.atom_density_per_m3": (float, _NONNEG),
-    "geometry.rotation_rate_rad_s": (float, _ANY),
-    "preparation.kind": (str, None),
-    "preparation.temperature_K": (float, _NONNEG),
-    "grid.n_points": (int, ("must be an integer >= 64", lambda v: v >= 64)),
-    "detection.time_s": (float, _POSITIVE),
-    "output.path": (str, None),
-    "output.format": (str, None),
+    "atom.preset": (str, None, "rb87"),
+    "atom.mass_kg": (float, _POSITIVE, None),
+    "atom.dipole_p_Cm": (float, _NONNEG, None),
+    "atom.gamma1_per_s": (float, _NONNEG, None),
+    "atom.gamma3_per_s": (float, _NONNEG, None),
+    "atom.gamma13_per_s": (float, _NONNEG, 1.0e3),
+    "fields.lambda_p_m": (float, _POSITIVE, None),
+    "fields.rabi_p0_rad_s": (float, _NONNEG, 1.0e8 * math.sqrt(1.0 / 3.0)),
+    "fields.rabi_c_rad_s": (float, _POSITIVE, 1.0e8),
+    "fields.k_c_parallel_per_m": (float, None, 0.0),
+    "fields.delta2_rad_s": (float, None, 0.0),
+    "fields.delta3_rad_s": (float, None, 0.0),
+    "geometry.preset": (str, None, "gupta"),
+    "geometry.radius_m": (float, _POSITIVE, None),
+    "geometry.medium_length_m": (float, _POSITIVE, None),
+    "geometry.cross_section_m2": (float, _POSITIVE, None),
+    "geometry.atom_density_per_m3": (float, _NONNEG, None),
+    "geometry.rotation_rate_rad_s": (float, None, 7.29e-5),
+    "preparation.kind": (str, None, "superfluid_ring"),
+    "preparation.temperature_K": (float, _NONNEG, 0.0),
+    "grid.n_points": (int, _GRID, 256),
+    "detection.time_s": (float, _POSITIVE, 1.0),
+    "output.path": (str, None, None),
+    "output.format": (str, None, None),
 }
-
-DEFAULTS = {
-    "atom.preset": "rb87",
-    "atom.gamma13_per_s": 1.0e3,
-    "fields.rabi_p0_rad_s": 1.0e8 * math.sqrt(1.0 / 3.0),
-    "fields.rabi_c_rad_s": 1.0e8,
-    "fields.k_c_parallel_per_m": 0.0,
-    "fields.delta2_rad_s": 0.0,
-    "fields.delta3_rad_s": 0.0,
-    "geometry.preset": "gupta",
-    "geometry.rotation_rate_rad_s": 7.29e-5,
-    "preparation.kind": "superfluid_ring",
-    "preparation.temperature_K": 0.0,
-    "grid.n_points": 256,
-    "detection.time_s": 1.0,
-}
+DEFAULTS = {key: spec[2] for key, spec in KEY_SPECS.items()
+            if spec[2] is not None}
 
 
 @dataclass
@@ -124,6 +116,31 @@ class RunConfig:
                                        self.grid_points)
 
 
+def _expand(work: dict, key: str, presets: dict, what: str, note: str,
+            provenance: list) -> str:
+    """Fill the keys of the preset named at `key` that the config leaves
+    unset, and record which; returns the preset's name."""
+    name = str(work.pop(key)).lower()
+    if name not in presets:
+        raise ConfigError(key, f"unknown {what} preset {name!r}; "
+                          f"known: {sorted(presets)}")
+    filled = [k for k in presets[name] if k not in work]
+    for k in filled:
+        work[k] = presets[name][k]
+    if filled:
+        provenance.append(
+            f"{', '.join(sorted(filled))}: preset {name} ({note})")
+    return name
+
+
+def _build(namespace: str, cls, **kwargs):
+    """cls(**kwargs), its ParameterError reported under `namespace`."""
+    try:
+        return cls(**kwargs)
+    except ParameterError as err:
+        raise ConfigError(namespace, str(err)) from None
+
+
 def normalize_config(raw: dict) -> RunConfig:
     """Validate a flat config dict, fill defaults, expand presets, and build
     the physics objects.  Raises ConfigError with the offending key path."""
@@ -137,43 +154,15 @@ def normalize_config(raw: dict) -> RunConfig:
     work.update(raw)
     provenance = []
 
-    preset_name = str(work.pop("atom.preset", "rb87")).lower()
-    if preset_name not in SPECIES_PRESETS:
-        raise ConfigError("atom.preset",
-                          f"unknown species preset {preset_name!r}; "
-                          f"known: {sorted(SPECIES_PRESETS)}")
-    species = SPECIES_PRESETS[preset_name]
-    species_defaults = {
-        "atom.mass_kg": species.mass,
-        "atom.dipole_p_Cm": species.dipole_p,
-        "atom.gamma1_per_s": species.gamma1,
-        "atom.gamma3_per_s": species.gamma3,
-        "fields.lambda_p_m": REFERENCE_WAVELENGTHS[preset_name],
-    }
-    filled = [k for k in species_defaults if k not in work]
-    for key in filled:
-        work[key] = species_defaults[key]
-    if filled:
-        provenance.append(
-            f"{', '.join(sorted(filled))}: preset {preset_name} "
-            "(standard alkali D2-line data, equal decay branches)")
+    preset_name = _expand(work, "atom.preset", ATOM_PRESETS, "species",
+                          "standard alkali D2-line data, equal decay "
+                          "branches", provenance)
     if "atom.gamma13_per_s" not in raw:
         provenance.append(
             "atom.gamma13_per_s: default 1 kHz (typical ground-coherence "
             "dephasing of cold gases)")
-
-    geom_preset = str(work.pop("geometry.preset", "gupta")).lower()
-    if geom_preset not in GEOMETRY_PRESETS:
-        raise ConfigError("geometry.preset",
-                          f"unknown geometry preset {geom_preset!r}; "
-                          f"known: {sorted(GEOMETRY_PRESETS)}")
-    geom_filled = [k for k in GEOMETRY_PRESETS[geom_preset] if k not in work]
-    for key in geom_filled:
-        work[key] = GEOMETRY_PRESETS[geom_preset][key]
-    if geom_filled:
-        provenance.append(
-            f"{', '.join(sorted(geom_filled))}: preset {geom_preset} "
-            "(circular BEC waveguide figures)")
+    _expand(work, "geometry.preset", GEOMETRY_PRESETS, "geometry",
+            "circular BEC waveguide figures", provenance)
     if "geometry.medium_length_m" not in work:
         work["geometry.medium_length_m"] = \
             2.0 * math.pi * work["geometry.radius_m"]
@@ -182,11 +171,13 @@ def normalize_config(raw: dict) -> RunConfig:
 
     values = {}
     for key, value in work.items():
-        typ, check = KEY_SPECS[key]
+        typ, check, _ = KEY_SPECS[key]
         try:
             cast = typ(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(key, f"cannot interpret {value!r} as {typ.__name__}") from None
+        if typ is float and not math.isfinite(cast):
+            raise ConfigError(key, NOT_FINITE.format(cast))
         if typ is int and isinstance(value, float) and value != cast:
             raise ConfigError(key, f"expected an integer, got {value!r}")
         if check is not None and not check[1](cast):
@@ -201,44 +192,28 @@ def normalize_config(raw: dict) -> RunConfig:
                           f"unknown preparation {kind_name!r}; known: "
                           f"{[p.value for p in Preparation]}") from None
 
-    try:
-        atom = AtomSpecies(mass=values["atom.mass_kg"],
-                           dipole_p=values["atom.dipole_p_Cm"],
-                           gamma1=values["atom.gamma1_per_s"],
-                           gamma3=values["atom.gamma3_per_s"],
-                           gamma13=values["atom.gamma13_per_s"],
-                           name=preset_name)
-    except ParameterError as err:
-        raise ConfigError("atom.*", str(err)) from None
-    try:
-        fields_obj = ProbeControlFields(
-            lambda_p=values["fields.lambda_p_m"],
-            rabi_p0=values["fields.rabi_p0_rad_s"],
-            rabi_c=values["fields.rabi_c_rad_s"],
-            k_c_parallel=values["fields.k_c_parallel_per_m"],
-            delta2=values["fields.delta2_rad_s"],
-            delta3=values["fields.delta3_rad_s"])
-    except ParameterError as err:
-        raise ConfigError("fields.*", str(err)) from None
-    try:
-        geometry = RingGeometry(
-            radius=values["geometry.radius_m"],
-            medium_length=values["geometry.medium_length_m"],
-            cross_section=values["geometry.cross_section_m2"],
-            atom_density=values["geometry.atom_density_per_m3"],
-            rotation_rate=values["geometry.rotation_rate_rad_s"])
-    except ParameterError as err:
-        raise ConfigError("geometry.*", str(err)) from None
-    try:
-        preparation = MediumPreparation(
-            kind=kind, temperature=values["preparation.temperature_K"])
-    except ParameterError as err:
-        raise ConfigError("preparation.temperature_K", str(err)) from None
+    atom = _build("atom.*", AtomSpecies, mass=values["atom.mass_kg"],
+                  dipole_p=values["atom.dipole_p_Cm"],
+                  gamma1=values["atom.gamma1_per_s"],
+                  gamma3=values["atom.gamma3_per_s"],
+                  gamma13=values["atom.gamma13_per_s"], name=preset_name)
+    fields_obj = _build("fields.*", ProbeControlFields,
+                        lambda_p=values["fields.lambda_p_m"],
+                        rabi_p0=values["fields.rabi_p0_rad_s"],
+                        rabi_c=values["fields.rabi_c_rad_s"],
+                        k_c_parallel=values["fields.k_c_parallel_per_m"],
+                        delta2=values["fields.delta2_rad_s"],
+                        delta3=values["fields.delta3_rad_s"])
+    geometry = _build("geometry.*", RingGeometry,
+                      radius=values["geometry.radius_m"],
+                      medium_length=values["geometry.medium_length_m"],
+                      cross_section=values["geometry.cross_section_m2"],
+                      atom_density=values["geometry.atom_density_per_m3"],
+                      rotation_rate=values["geometry.rotation_rate_rad_s"])
+    preparation = _build("preparation.temperature_K", MediumPreparation,
+                         kind=kind,
+                         temperature=values["preparation.temperature_K"])
 
-    out_format = values.get("output.format")
-    if out_format is not None and out_format not in ("json", "csv"):
-        raise ConfigError("output.format",
-                          f"must be 'json' or 'csv', got {out_format!r}")
     echo = {k: values[k] for k in sorted(values)
             if k not in ("output.path", "output.format")}
     return RunConfig(atom=atom, fields=fields_obj, geometry=geometry,
@@ -247,23 +222,25 @@ def normalize_config(raw: dict) -> RunConfig:
                      detection_time=values["detection.time_s"],
                      echo=echo,
                      output_path=values.get("output.path"),
-                     output_format=out_format,
+                     output_format=values.get("output.format"),
                      provenance=provenance)
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    raw = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError("<config>", f"file not found: {path}") from None
-        except json.JSONDecodeError as err:
-            raise ConfigError("<config>", f"invalid JSON: {err}") from None
-    if overrides:
-        raw.update(overrides)
-    return normalize_config(raw)
+def read_config(path: str | None) -> dict:
+    """The raw config object in a JSON file; {} without one."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as err:
+        raise ConfigError("<config>",
+                          f"cannot read {path}: {err.strerror}") from None
+    except json.JSONDecodeError as err:
+        raise ConfigError("<config>", f"invalid JSON: {err}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", "config must be a JSON object")
+    return raw
 
 
 @dataclass
@@ -308,12 +285,11 @@ def cmd_steady_state(config: RunConfig) -> ResultEnvelope:
     from .bloch import build_generator, steady_state
 
     env = ResultEnvelope("steady-state", config.echo, {})
-    v_rec = all_scales(config.atom, config.fields, config.geometry).v_rec
     gen = build_generator(config.atom, config.fields.rabi_p0,
                           config.fields.rabi_c, config.fields.delta2,
                           config.fields.delta3,
                           config.geometry.rotation_rate,
-                          config.geometry.radius, config.fields.k_p, v_rec)
+                          config.geometry.radius, config.fields.k_p)
     rho = steady_state(gen, n=1.0)
     vec = rho.rho.reshape(9)
     residual = float(np.linalg.norm(gen.m @ vec)
@@ -352,7 +328,11 @@ def _phase_envelope(command: str, config: RunConfig, result,
         f"{'kept' if config.preparation.kind is Preparation.SUPERFLUID_RING else 'gated to zero'}")
     env.assumptions.extend(config.provenance)
     if profile_out:
-        write_profile_csv(result, profile_out, config.fields.rabi_p0)
+        try:
+            write_profile_csv(result, profile_out, config.fields.rabi_p0)
+        except OSError as err:
+            raise ConfigError("--profile-out", f"cannot write {profile_out}: "
+                              f"{err.strerror}") from None
         env.assumptions.append(f"profile written to {profile_out}")
     return env
 
@@ -413,7 +393,7 @@ def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
     writer.writerows([repr(v) for v in row] for row in table.tolist())
 
 
-def cmd_optimize(a_list, out):
+def cmd_optimize(out, a_list=DEFAULT_A_LIST):
     """Optimum operating point for each loss parameter, CSV columns
     (a, s_opt, xi_opt, g_max, f_estimate)."""
     writer = csv.writer(out, lineterminator="\n")
@@ -436,22 +416,20 @@ def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
     """Minimum detectable rotation rate from a config or a case study; both
     report the sensitivity_budget at the optimum operating point."""
     if case is not None:
-        report = case_study(case, species=species, a=a, t=time,
-                            area_convention=area)
+        other = "arnold" if case == "gupta" else "gupta"
+        reports = {ring: case_study(ring, species=species, a=a, t=time,
+                                    area_convention=area)
+                   for ring in (case, other)}
+        report = reports[case]
         env = ResultEnvelope("omega-min", {"case": case, "species": species,
-                                           "a": a, "t_s": time,
-                                           "area_convention": area}, {})
-        other = "arnold" if case.lower() == "gupta" else "gupta"
-        other_report = case_study(other, species=species, a=a, t=time,
-                                  area_convention=area)
-        gupta, arnold = ((report, other_report) if other == "arnold"
-                         else (other_report, report))
-        env.add(f"omega_min_{other}", other_report.omega_min, "rad/s/sqrt(Hz)")
-        env.add("gupta_arnold_ratio", gupta.omega_min / arnold.omega_min,
+                                           "a": a, "time": time,
+                                           "area": area}, {})
+        env.add(f"omega_min_{other}", reports[other].omega_min,
+                "rad/s/sqrt(Hz)")
+        env.add("gupta_arnold_ratio",
+                reports["gupta"].omega_min / reports["arnold"].omega_min,
                 "dimensionless (area scaling (96/3)^2 = 1024)")
     else:
-        if config is None:
-            raise ConfigError("<args>", "omega-min needs --config or --case")
         medium = config.medium()
         check_validity(medium, config.preparation, "sensitivity")
         geometry = config.geometry
@@ -480,126 +458,172 @@ def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
     return env
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def _parse_a_list(text: str):
+def _finite_float(text: str) -> float:
     try:
-        values = [float(tok) for tok in text.replace(",", " ").split()]
+        value = float(text)
     except ValueError:
-        raise ConfigError("--a-list", f"cannot parse {text!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("--a-list", "need positive loss parameters")
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(NOT_FINITE.format(value))
+    return value
+
+
+def _a_list(text: str) -> list:
+    values = [_finite_float(tok) for tok in text.replace(",", " ").split()]
+    if not values or min(values) <= 0:
+        raise argparse.ArgumentTypeError("need positive loss parameters")
     return values
 
 
+# every flag and its argparse arguments.  A runner takes the flags given
+# as keywords, except config, grid, format and out, which _run consumes.
+FLAGS = {
+    "config": {"help": "JSON config file (flat namespaced keys)"},
+    "grid": {"type": int, "help": "override grid.n_points"},
+    "format": {"choices": ("json", "csv")},
+    "out": {"help": "output path (default: config output.path, else stdout)"},
+    "direction": {"type": int, "choices": (1, -1)},
+    "profile-out": {"help": "write per-x profile CSV here"},
+    "steps": {"type": int, "dest": "n_steps"},
+    "s-min": {"type": _finite_float},
+    "s-max": {"type": _finite_float},
+    "a-list": {"type": _a_list},
+    "case": {"choices": sorted(RING_PRESETS)},
+    "species": {"choices": sorted(SPECIES_PRESETS)},
+    "a": {"type": _finite_float},
+    "time": {"type": _finite_float},
+    "area": {"choices": ("ring", "disk")},
+}
+
+
+class Command(NamedTuple):
+    run: Callable
+    output: str       # "envelope" (JSON or CSV name/value/unit) or "csv"
+    keys: frozenset   # config keys read; empty: the command takes no config
+    flags: tuple      # the FLAGS it takes
+    help: str
+
+
+# keys a config command consumes without echoing them: the presets expand
+# into echoed keys, the output keys say where and how to write
+_CONSUMED = frozenset({"atom.preset", "geometry.preset", "output.path",
+                       "output.format"})
+_MODEL = frozenset(KEY_SPECS) - _CONSUMED
+# what RingMedium and check_validity read.  preparation.temperature_K
+# changes no number, but a thermal_ring is refused without it, so an echo
+# without it would not re-run.
+_MEDIUM = _MODEL - {"atom.gamma3_per_s", "fields.rabi_p0_rad_s",
+                    "geometry.rotation_rate_rad_s", "grid.n_points",
+                    "detection.time_s"}
+_PHASE = _MODEL - {"atom.gamma3_per_s", "detection.time_s"}
+
+COMMANDS = {
+    "steady-state": Command(cmd_steady_state, "envelope", frozenset({
+        "atom.gamma1_per_s", "atom.gamma3_per_s", "atom.gamma13_per_s",
+        "fields.lambda_p_m", "fields.rabi_p0_rad_s", "fields.rabi_c_rad_s",
+        "fields.delta2_rad_s", "fields.delta3_rad_s", "geometry.radius_m",
+        "geometry.rotation_rate_rad_s"}), ("config", "format", "out"),
+        "Lambda-system steady state"),
+    "propagate": Command(cmd_propagate, "envelope", _PHASE, (
+        "config", "grid", "format", "out", "direction", "profile-out"),
+        "all-order beam propagation"),
+    "phase": Command(cmd_phase, "envelope", _PHASE, (
+        "config", "grid", "format", "out", "profile-out"),
+        "differential Sagnac phase"),
+    "snr-sweep": Command(cmd_snr_sweep, "csv", _MEDIUM | {
+        "geometry.rotation_rate_rad_s", "detection.time_s"}, (
+        "config", "out", "steps", "s-min", "s-max"),
+        "SNR vs probe power (CSV)"),
+    "optimize": Command(cmd_optimize, "csv", frozenset(), ("a-list", "out"),
+                        "optimum (s, xi) vs loss parameter (CSV)"),
+    "omega-min": Command(cmd_omega_min, "envelope",
+                         _MEDIUM | {"detection.time_s"},
+                         ("config", "format", "out"),
+                         "minimum detectable rotation rate"),
+    "omega-min --case": Command(cmd_omega_min, "envelope", frozenset(), (
+        "case", "species", "a", "time", "area", "format", "out"), ""),
+}
+
+
+# the flags each subcommand registers: those of all its COMMANDS entries
+SUBCOMMANDS = {}
+for _label, _spec in COMMANDS.items():
+    SUBCOMMANDS.setdefault(_label.split()[0], {}).update(
+        dict.fromkeys(_spec.flags))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 as `config error: --flag: ...` like every other
+    refused input, not 2, which means numerical failure here."""
+
+    def error(self, message):
+        name, _, detail = message.partition(": ")
+        raise ConfigError(name.removeprefix("argument "), detail)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slowgyro",
-        description="Slow-light ring gyroscope simulator")
+    parser = _Parser(prog="slowgyro", allow_abbrev=False,
+                     description="Slow-light ring gyroscope simulator")
     parser.add_argument("--version", action="version",
                         version=f"slowgyro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None,
-                       help="JSON config file (flat namespaced keys)")
-        p.add_argument("--out", default=None,
-                       help="output path (default: config output.path, else stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--grid", type=int, default=None,
-                       help="override grid.n_points")
-
-    p = sub.add_parser("steady-state", help="Lambda-system steady state")
-    common(p)
-
-    p = sub.add_parser("propagate", help="all-order beam propagation")
-    common(p)
-    p.add_argument("--direction", type=int, choices=(1, -1), default=1)
-    p.add_argument("--profile-out", default=None,
-                   help="write per-x profile CSV here")
-
-    p = sub.add_parser("phase", help="differential Sagnac phase")
-    common(p)
-    p.add_argument("--profile-out", default=None)
-
-    p = sub.add_parser("snr-sweep", help="SNR vs probe power (CSV)")
-    common(p)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--s-min", type=float, default=1e-3)
-    p.add_argument("--s-max", type=float, default=1e2)
-
-    p = sub.add_parser("optimize", help="optimum (s, xi) vs loss parameter (CSV)")
-    p.add_argument("--a-list", default=",".join(str(v) for v in DEFAULT_A_LIST))
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("omega-min", help="minimum detectable rotation rate")
-    common(p)
-    p.add_argument("--case", choices=sorted(RING_PRESETS), default=None)
-    # case-study inputs; unset ones take cmd_omega_min's defaults
-    p.add_argument("--species", choices=sorted(SPECIES_PRESETS))
-    p.add_argument("--a", type=float)
-    p.add_argument("--time", type=float)
-    p.add_argument("--area", choices=("ring", "disk"))
+    for command, flags in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=COMMANDS[command].help,
+                           allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 
-_CASE_FLAGS = ("species", "a", "time", "area")
-# the flags each command accepts but does not read: a given one is refused
-# instead of echoed or dropped
-UNREAD_FLAGS = {"steady-state": ("grid",), "snr-sweep": ("grid", "format"),
-                "omega-min": ("grid",) + _CASE_FLAGS,
-                "omega-min --case": ("config", "grid")}
+def _parse(argv) -> tuple:
+    """(COMMANDS label, the flags given by dest).  Refuses a flag the
+    label does not take, whether the parser knows it or not."""
+    args, extras = build_parser().parse_known_args(argv)
+    given = vars(args)
+    command = given.pop("command")
+    label = f"{command} --case" if "case" in given else command
+    refused = [token.split("=", 1)[0] for token in extras]
+    refused += [f"--{flag}" for flag in SUBCOMMANDS[command]
+                if FLAGS[flag].get("dest", flag.replace("-", "_")) in given
+                and flag not in COMMANDS[label].flags]
+    if refused:
+        raise ConfigError(refused[0],
+                          f"slowgyro {label} does not read {refused[0]}")
+    return label, given
 
 
-def _dispatch(args, text):
-    """Run the selected command, CSV tables into `text`; returns (config,
-    envelope), each None where the command has none."""
-    config = env = None
-    case = getattr(args, "case", None)
-    label = args.command + (" --case" if case is not None else "")
-    for flag in UNREAD_FLAGS.get(label, ()):
-        if getattr(args, flag) is not None:
-            raise ConfigError(f"--{flag}",
-                              f"slowgyro {label} does not read --{flag}")
-    if args.command == "optimize":
-        cmd_optimize(_parse_a_list(args.a_list), text)
-    elif case is not None:
-        env = cmd_omega_min(case=case, **{flag: getattr(args, flag)
-                                          for flag in _CASE_FLAGS
-                                          if getattr(args, flag) is not None})
-    else:
-        overrides = {}
-        if args.grid is not None:
-            overrides["grid.n_points"] = args.grid
-        config = load_config(args.config, overrides)
-        if args.command == "steady-state":
-            env = cmd_steady_state(config)
-        elif args.command == "propagate":
-            env = cmd_propagate(config, direction=args.direction,
-                                profile_out=args.profile_out)
-        elif args.command == "phase":
-            env = cmd_phase(config, profile_out=args.profile_out)
-        elif args.command == "snr-sweep":
-            cmd_snr_sweep(config, text, s_min=args.s_min,
-                          s_max=args.s_max, n_steps=args.steps)
-        elif args.command == "omega-min":
-            env = cmd_omega_min(config=config)
-        else:  # pragma: no cover
-            raise ConfigError("<args>", f"unknown command {args.command}")
-    return config, env
+def _run(argv) -> int:
+    label, given = _parse(argv)
+    spec = COMMANDS[label]
+    key, path = "--out", given.pop("out", None)
+    fmt = given.pop("format", None)
+    args = ()
+    if spec.keys:
+        raw = read_config(given.pop("config", None))
+        if "grid" in given:
+            raw["grid.n_points"] = given.pop("grid")
+        config = normalize_config(raw)
+        if path is None:
+            key, path = "output.path", config.output_path
+        fmt = fmt or config.output_format
+        args = (config,)
+    formats = ("json", "csv") if spec.output == "envelope" else ("csv",)
+    fmt = fmt or formats[0]
+    if fmt not in formats:
+        raise ConfigError("output.format", f"slowgyro {label} writes "
+                          f"{' or '.join(formats)}, not {fmt!r}")
 
-
-def _run(args) -> int:
     env = None
     text = io.StringIO()  # the output, written only once the command succeeded
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         try:
-            config, env = _dispatch(args, text)
+            if spec.output == "csv":
+                spec.run(*args, text, **given)
+            else:
+                env = spec.run(*args, **given)
         finally:  # CSV commands, and failed ones, report warnings on stderr
             captured = [f"{w.category.__name__}: {w.message}" for w in records]
             if env is None:
@@ -607,24 +631,29 @@ def _run(args) -> int:
                     print(f"warning: {line}", file=sys.stderr)
 
     if env is not None:
+        if spec.keys:
+            env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
+            unread = sorted(set(raw) - spec.keys - _CONSUMED)
+            if unread:
+                env.assumptions.append(f"set but not read by slowgyro {label}"
+                                       f", so not echoed: {', '.join(unread)}")
         env.warnings.extend(captured)
-        fmt = (args.format or (config.output_format if config else None)
-               or "json")
         env.write(text, fmt)
-    out, close = _open_out(args.out or (config.output_path if config else None))
+    if path is None or path == "-":
+        sys.stdout.write(text.getvalue())
+        return 0
     try:
-        out.write(text.getvalue())
-    finally:
-        if close:
-            out.close()
+        with open(path, "w", newline="") as out:
+            out.write(text.getvalue())
+    except OSError as err:
+        raise ConfigError(key,
+                          f"cannot write {path}: {err.strerror}") from None
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(argv)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -14,9 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 import slowgyro
 from slowgyro import sensitivity
-from slowgyro.cli import cmd_snr_sweep, load_config, main, normalize_config
+from slowgyro.cli import (COMMANDS, KEY_SPECS, build_parser, cmd_snr_sweep,
+                          main, normalize_config, read_config)
 from slowgyro.errors import LowCountWarning
 from slowgyro.propagation import frozen_phases
+from slowgyro.ringmodes import Preparation
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 
 def run(args, capsys):
@@ -419,6 +426,237 @@ def test_unread_flag_refused(capsys, argv, flag):
     assert err.startswith(f"config error: {flag}: ")
 
 
+USAGE_ERRORS = [
+    (["phase", "--bogus"], "--bogus"),
+    (["phase", "--grid", "abc"], "--grid"),
+    (["phase", "--grid"], "--grid"),
+    (["propagate", "--direction", "2"], "--direction"),
+    (["optimize", "--grid", "5"], "--grid"),
+    (["steady-state", "--grid", "5"], "--grid"),
+    (["snr-sweep", "--steps", "x"], "--steps"),
+    (["optimize", "--a-list", "1,x"], "--a-list"),
+    # flags are matched whole: each is a prefix of a flag the command takes
+    (["optimize", "--a", "5"], "--a"),
+    (["phase", "--prof", "p.csv"], "--prof"),
+    (["omega-min", "--cas", "gupta"], "--cas"),
+    (["omega-min", "--case", "nowhere"], "--case"),
+    (["phase", "stray"], "stray"),
+    (["bogus"], "command"),
+    ([], "the following arguments are required"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_exits_one(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {flag}: ")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+NON_FINITE = [
+    (["phase"], '{"geometry.rotation_rate_rad_s": NaN}',
+     "geometry.rotation_rate_rad_s"),
+    (["omega-min"], '{"detection.time_s": 1e400}', "detection.time_s"),
+    (["steady-state"], '{"fields.delta2_rad_s": Infinity}',
+     "fields.delta2_rad_s"),
+    (["snr-sweep"], '{"fields.k_c_parallel_per_m": -Infinity}',
+     "fields.k_c_parallel_per_m"),
+    (["omega-min", "--case", "gupta", "--time", "inf"], None, "--time"),
+    (["omega-min", "--case", "gupta", "--a", "nan"], None, "--a"),
+    (["snr-sweep", "--s-max", "1e400"], None, "--s-max"),
+    (["optimize", "--a-list", "5,inf"], None, "--a-list"),
+]
+
+
+@pytest.mark.parametrize("argv,text,key", NON_FINITE,
+                         ids=[key for *_, key in NON_FINITE])
+def test_non_finite_number_refused_naming_it(tmp_path, capsys, argv, text,
+                                             key):
+    if text is not None:
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = [*argv, "--config", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {key}: must be a finite number")
+
+
+def test_overflowing_grid_refused(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"grid.n_points": 1e400}')
+    code, _, err = run(["phase", "--config", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("config error: grid.n_points: ")
+
+
+@pytest.mark.parametrize("where", ["--out", "--profile-out", "output.path"])
+def test_unwritable_output_path_is_one_line(tmp_path, capsys, where):
+    target = str(tmp_path / "missing" / "result.txt")
+    args = ["--config", write_config(tmp_path, {where: target})] \
+        if where == "output.path" else [where, target]
+    code, out, err = run(["phase", *args], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {where}: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_output_format_the_command_cannot_write_refused(tmp_path, capsys):
+    path = write_config(tmp_path, {"output.format": "json"})
+    code, out, err = run(["snr-sweep", "--config", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: output.format: ")
+    path = write_config(tmp_path, {"output.format": "csv"}, name="csv.json")
+    code, out, _ = run(["snr-sweep", "--config", path, "--steps", "3"],
+                       capsys)
+    assert code == 0
+    assert out.count("\n") == 4
+
+
+def test_unread_key_named_and_not_echoed(tmp_path, capsys):
+    path = write_config(tmp_path, {"grid.n_points": 100000})
+    code, out, _ = run(["omega-min", "--config", path], capsys)
+    assert code == 0
+    env = json.loads(out)
+    assert set(env["inputs"]) == COMMANDS["omega-min"].keys
+    assert env["assumptions"][-1] == (
+        "set but not read by slowgyro omega-min, so not echoed: "
+        "fields.rabi_p0_rad_s, geometry.rotation_rate_rad_s, grid.n_points")
+
+
+ROUND_TRIP_CONFIGS = {
+    "default": {},
+    "detuned": {"fields.delta2_rad_s": 1e6},
+    "thermal": {"preparation.kind": "thermal_ring",
+                "preparation.temperature_K": 1e-6},
+    "na23-arnold": {"atom.preset": "na23", "geometry.preset": "arnold"},
+}
+ENVELOPE_RUNS = [["steady-state"], ["propagate", "--direction", "1"],
+                 ["propagate", "--direction", "-1"], ["phase"],
+                 ["omega-min"]]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (argv, name) for argv in ENVELOPE_RUNS for name in ROUND_TRIP_CONFIGS
+    # omega-min refuses a thermal ring
+    if (argv[0], name) != ("omega-min", "thermal")])
+def test_echo_round_trip(tmp_path, capsys, argv, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(ROUND_TRIP_CONFIGS[name]))
+    code, out, err = run([*argv, "--config", str(path)], capsys)
+    assert code == 0, err
+    first = json.loads(out)
+    assert set(first["inputs"]) == COMMANDS[argv[0]].keys
+    path.write_text(json.dumps(first["inputs"]))
+    code, out, _ = run([*argv, "--config", str(path)], capsys)
+    again = json.loads(out)
+    assert code == 0
+    assert again["inputs"] == first["inputs"]
+    assert again["results"] == first["results"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--case", "gupta"], ["--case", "gupta", "--time", "3"],
+    ["--case", "arnold", "--species", "rb87", "--a", "500", "--area",
+     "disk"]])
+def test_case_echo_round_trip(capsys, args):
+    _, out, _ = run(["omega-min", *args], capsys)
+    first = json.loads(out)
+    assert set(first["inputs"]) == {"case", "species", "a", "time", "area"}
+    argv = ["omega-min"] + [token for flag, value in first["inputs"].items()
+                            for token in (f"--{flag}", str(value))]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == first["results"]
+
+
+# a valid value for each config key that some command does not read
+UNREAD_VALUES = {
+    "atom.mass_kg": st.floats(1e-26, 1e-24),
+    "atom.dipole_p_Cm": st.floats(0.0, 1e-28),
+    "atom.gamma3_per_s": st.floats(0.0, 1e8),
+    "fields.rabi_p0_rad_s": st.floats(0.0, 1e9),
+    "fields.k_c_parallel_per_m": st.floats(-1e7, 1e7),
+    "geometry.medium_length_m": st.floats(1e-4, 9e-3),  # <= 2 pi R
+    "geometry.cross_section_m2": st.floats(1e-8, 1e-4),
+    "geometry.atom_density_per_m3": st.floats(0.0, 1e21),
+    "geometry.rotation_rate_rad_s": st.floats(-10.0, 10.0),
+    "preparation.kind": st.sampled_from([p.value for p in Preparation]),
+    "preparation.temperature_K": st.floats(1e-9, 1e-3),
+    "grid.n_points": st.integers(64, 512),
+    "detection.time_s": st.floats(1e-3, 10.0),
+}
+NOT_MODEL_KEYS = {"atom.preset", "geometry.preset", "output.path",
+                  "output.format"}
+READ_SET_RUNS = [["steady-state"], ["propagate", "--direction", "-1"],
+                 ["phase"], ["snr-sweep", "--steps", "5"], ["omega-min"]]
+
+
+@pytest.mark.parametrize("argv", READ_SET_RUNS, ids=lambda argv: argv[0])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_key_outside_read_set_changes_nothing(tmp_path_factory, argv, data):
+    """COMMANDS against the code: a key the table says a command does not
+    read leaves its exit code, stdout and stderr byte-identical."""
+    unread = set(KEY_SPECS) - NOT_MODEL_KEYS - COMMANDS[argv[0]].keys
+    assert unread <= set(UNREAD_VALUES)
+    key = data.draw(st.sampled_from(sorted(unread)))
+    # a temperature lets preparation.kind take thermal_ring
+    base = {**_random_config(data.draw), "preparation.temperature_K": 1e-6}
+    runs = []
+    for _ in range(2):
+        value = data.draw(UNREAD_VALUES[key])
+        path = tmp_path_factory.mktemp("unread") / "config.json"
+        path.write_text(json.dumps({**base, key: value}))
+        runs.append(_main([*argv, "--config", str(path)]))
+    assert runs[0] == runs[1]
+
+
+def _readme_section(title):
+    with open(README) as fh:
+        text = fh.read()
+    return text[text.index(title):]
+
+
+def test_readme_command_block_lists_the_parser_flags():
+    section = _readme_section("## Command line")
+    start = section.index("```\n") + len("```\n")
+    named = {}
+    for line in section[start:section.index("```", start)].splitlines():
+        named.setdefault(line.split()[1], set()).update(
+            re.findall(r"--[a-z][a-z-]*", line.split("#")[0]))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    registered = {
+        command: {flag for action in parser._actions
+                  for flag in action.option_strings} - {"-h", "--help"}
+        for command, parser in subparsers.choices.items()}
+    assert named == registered
+
+
+def test_readme_unread_key_table_matches_commands():
+    section = _readme_section("| command | does not read |")
+    rows = section[:section.index("\n\n")].splitlines()[2:]
+    model = {k for k in set(KEY_SPECS) - NOT_MODEL_KEYS
+             if k.split(".")[0] in ("atom", "fields", "geometry",
+                                    "preparation")}
+    for row in rows:
+        commands, keys = (re.findall(r"`([^`]+)`", cell)
+                          for cell in row.split("|")[1:3])
+        listed = {k for pattern in keys for k in model
+                  if k == pattern or (pattern.endswith(".*")
+                                      and k.startswith(pattern[:-1]))}
+        for command in commands:
+            assert listed == model - COMMANDS[command].keys, command
+
+
 class TestValidityDomain:
     def test_partial_momentum_transfer_refused_by_both_commands(
             self, tmp_path, capsys):
@@ -512,7 +750,8 @@ class TestModelDomainWarnings:
         direct = io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cmd_snr_sweep(load_config(path), direct, n_steps=7)
+            cmd_snr_sweep(normalize_config(read_config(path)), direct,
+                          n_steps=7)
         assert out_path.read_text() == direct.getvalue()
 
     def test_failed_command_still_names_its_warnings(self, tmp_path, capsys):
