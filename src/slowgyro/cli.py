@@ -17,9 +17,12 @@ or flag>: ...`, an unknown or malformed flag included), 2 numerical failure.
 
 import argparse
 import csv
+import functools
+import inspect
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -103,7 +106,9 @@ class RunConfig:
     echo: dict = field(default_factory=dict)
     output_path: str | None = None
     output_format: str | None = None
-    provenance: list = field(default_factory=list)
+    # key -> where its value came from, for each key the config left unset
+    # that a preset, the gamma13 default or the full ring filled
+    sources: dict = field(default_factory=dict)
 
     def medium(self) -> RingMedium:
         """The config's ring medium.  Whether the model answers for it is
@@ -116,20 +121,38 @@ class RunConfig:
                                        self.grid_points)
 
 
+def _checked(typ, check, value):
+    """value cast to typ, finite if a float, and passing check, a (message,
+    predicate) pair or None.  Raises argparse.ArgumentTypeError saying what
+    is wrong: the parser reports it under the flag, normalize_config under
+    the key."""
+    error = argparse.ArgumentTypeError
+    try:
+        cast = typ(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"cannot interpret {value!r} as {typ.__name__}") from None
+    if typ is float and not math.isfinite(cast):
+        raise error(NOT_FINITE.format(cast))
+    if typ is int and isinstance(value, float) and value != cast:
+        raise error(f"expected an integer, got {value!r}")
+    if check is not None and not check[1](cast):
+        raise error(f"{check[0]} (got {cast!r})")
+    return cast
+
+
 def _expand(work: dict, key: str, presets: dict, what: str, note: str,
-            provenance: list) -> str:
+            sources: dict) -> str:
     """Fill the keys of the preset named at `key` that the config leaves
-    unset, and record which; returns the preset's name."""
+    unset, and record their source; returns the preset's name."""
     name = str(work.pop(key)).lower()
     if name not in presets:
         raise ConfigError(key, f"unknown {what} preset {name!r}; "
                           f"known: {sorted(presets)}")
-    filled = [k for k in presets[name] if k not in work]
-    for k in filled:
-        work[k] = presets[name][k]
-    if filled:
-        provenance.append(
-            f"{', '.join(sorted(filled))}: preset {name} ({note})")
+    source = f"preset {name} ({note})"
+    for k, value in presets[name].items():
+        if k not in work:
+            work[k] = value
+            sources[k] = source
     return name
 
 
@@ -152,37 +175,29 @@ def normalize_config(raw: dict) -> RunConfig:
 
     work = dict(DEFAULTS)
     work.update(raw)
-    provenance = []
+    sources = {}
 
     preset_name = _expand(work, "atom.preset", ATOM_PRESETS, "species",
                           "standard alkali D2-line data, equal decay "
-                          "branches", provenance)
+                          "branches", sources)
     if "atom.gamma13_per_s" not in raw:
-        provenance.append(
-            "atom.gamma13_per_s: default 1 kHz (typical ground-coherence "
-            "dephasing of cold gases)")
+        sources["atom.gamma13_per_s"] = ("default 1 kHz (typical "
+                                         "ground-coherence dephasing of "
+                                         "cold gases)")
     _expand(work, "geometry.preset", GEOMETRY_PRESETS, "geometry",
-            "circular BEC waveguide figures", provenance)
+            "circular BEC waveguide figures", sources)
     if "geometry.medium_length_m" not in work:
         work["geometry.medium_length_m"] = \
             2.0 * math.pi * work["geometry.radius_m"]
-        provenance.append(
-            "geometry.medium_length_m: full ring, L_M = 2*pi*R")
+        sources["geometry.medium_length_m"] = "full ring, L_M = 2*pi*R"
 
     values = {}
     for key, value in work.items():
         typ, check, _ = KEY_SPECS[key]
         try:
-            cast = typ(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(key, f"cannot interpret {value!r} as {typ.__name__}") from None
-        if typ is float and not math.isfinite(cast):
-            raise ConfigError(key, NOT_FINITE.format(cast))
-        if typ is int and isinstance(value, float) and value != cast:
-            raise ConfigError(key, f"expected an integer, got {value!r}")
-        if check is not None and not check[1](cast):
-            raise ConfigError(key, f"{check[0]} (got {cast!r})")
-        values[key] = cast
+            values[key] = _checked(typ, check, value)
+        except argparse.ArgumentTypeError as err:
+            raise ConfigError(key, str(err)) from None
 
     kind_name = values.get("preparation.kind", "superfluid_ring")
     try:
@@ -223,7 +238,7 @@ def normalize_config(raw: dict) -> RunConfig:
                      echo=echo,
                      output_path=values.get("output.path"),
                      output_format=values.get("output.format"),
-                     provenance=provenance)
+                     sources=sources)
 
 
 def read_config(path: str | None) -> dict:
@@ -258,33 +273,26 @@ class ResultEnvelope:
     def add(self, name: str, value, unit: str):
         self.results[name] = {"value": value, "unit": unit}
 
-    def to_dict(self) -> dict:
-        return {"command": self.command, "inputs": self.inputs,
-                "results": self.results, "assumptions": self.assumptions,
-                "warnings": self.warnings, "version": self.version}
-
     def write(self, out, fmt: str = "json"):
-        if fmt == "json":
-            out.write(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-            out.write("\n")
-        elif fmt == "csv":
+        """Write as JSON, or as CSV name/value/unit rows (fmt "csv")."""
+        if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(["name", "value", "unit"])
             for name in sorted(self.results):
                 entry = self.results[name]
                 writer.writerow([name, json.dumps(entry["value"]),
                                  entry["unit"]])
-        else:
-            raise ConfigError("output.format", f"unknown format {fmt!r}")
+            return
+        out.write(json.dumps(vars(self), indent=2, sort_keys=True))
+        out.write("\n")
 
 
-def cmd_steady_state(config: RunConfig) -> ResultEnvelope:
+def cmd_steady_state(config: RunConfig, env: ResultEnvelope):
     """Steady state of the driven Lambda system, normalized to unit trace.
     It models the detunings exactly, so it raises none of the EIT-model
     warnings of propagation.check_validity."""
     from .bloch import build_generator, steady_state
 
-    env = ResultEnvelope("steady-state", config.echo, {})
     gen = build_generator(config.atom, config.fields.rabi_p0,
                           config.fields.rabi_c, config.fields.delta2,
                           config.fields.delta3,
@@ -304,13 +312,9 @@ def cmd_steady_state(config: RunConfig) -> ResultEnvelope:
     env.add("generator_residual", residual, "dimensionless")
     env.add("excited_population", float(rho.rho[1, 1].real), "dimensionless")
     env.assumptions.append("density matrix normalized to unit trace")
-    env.assumptions.extend(config.provenance)
-    return env
 
 
-def _phase_envelope(command: str, config: RunConfig, result,
-                    profile_out: str | None) -> ResultEnvelope:
-    env = ResultEnvelope(command, config.echo, {})
+def _add_phase(env: ResultEnvelope, config: RunConfig, result, profile_out):
     env.add("delta_phi_sig", result.delta_phi_sig, "rad")
     env.add("phase_cw", result.phase_cw, "rad")
     env.add("phase_ccw", result.phase_ccw, "rad")
@@ -326,34 +330,26 @@ def _phase_envelope(command: str, config: RunConfig, result,
     env.assumptions.append(
         f"preparation {config.preparation.kind.value}: matter term "
         f"{'kept' if config.preparation.kind is Preparation.SUPERFLUID_RING else 'gated to zero'}")
-    env.assumptions.extend(config.provenance)
-    if profile_out:
-        try:
-            write_profile_csv(result, profile_out, config.fields.rabi_p0)
-        except OSError as err:
-            raise ConfigError("--profile-out", f"cannot write {profile_out}: "
-                              f"{err.strerror}") from None
-        env.assumptions.append(f"profile written to {profile_out}")
-    return env
+    if profile_out is not None:
+        write_profile_csv(result, profile_out, config.fields.rabi_p0)
 
 
-def cmd_phase(config: RunConfig, profile_out: str | None = None) -> ResultEnvelope:
+def cmd_phase(config: RunConfig, env: ResultEnvelope, profile_out=None):
     """Differential Sagnac signal phase with its light/matter split: the
     co-propagating beam of cmd_propagate."""
     result = signal_phase(config.medium(), config.preparation, config.grid())
-    return _phase_envelope("phase", config, result, profile_out)
+    _add_phase(env, config, result, profile_out)
 
 
-def cmd_propagate(config: RunConfig, direction: int = 1,
-                  profile_out: str | None = None) -> ResultEnvelope:
+def cmd_propagate(config: RunConfig, env: ResultEnvelope, direction: int = 1,
+                  profile_out=None):
     """All-order propagation of one beam; optional per-x profile CSV."""
     result = propagate_allorder(config.medium(), config.preparation,
                                 config.grid(), direction=direction)
-    env = _phase_envelope("propagate", config, result, profile_out)
+    _add_phase(env, config, result, profile_out)
     env.add("direction", direction, "sign (+1 co-rotating)")
     env.add("richardson_phase", result.diagnostics.get("richardson_phase", 0.0),
             "rad")
-    return env
 
 
 def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
@@ -410,39 +406,8 @@ STATE_OF_THE_ART = {
 }
 
 
-def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
-                  species: str = "na23", a: float = 2.9, time: float = 1.0,
-                  area: str = "ring") -> ResultEnvelope:
-    """Minimum detectable rotation rate from a config or a case study; both
-    report the sensitivity_budget at the optimum operating point."""
-    if case is not None:
-        other = "arnold" if case == "gupta" else "gupta"
-        reports = {ring: case_study(ring, species=species, a=a, t=time,
-                                    area_convention=area)
-                   for ring in (case, other)}
-        report = reports[case]
-        env = ResultEnvelope("omega-min", {"case": case, "species": species,
-                                           "a": a, "time": time,
-                                           "area": area}, {})
-        env.add(f"omega_min_{other}", reports[other].omega_min,
-                "rad/s/sqrt(Hz)")
-        env.add("gupta_arnold_ratio",
-                reports["gupta"].omega_min / reports["arnold"].omega_min,
-                "dimensionless (area scaling (96/3)^2 = 1024)")
-    else:
-        medium = config.medium()
-        check_validity(medium, config.preparation, "sensitivity")
-        geometry = config.geometry
-        a_cfg = medium.loss_parameter
-        report = sensitivity_budget(geometry, geometry.area,
-                                    medium.scales.v_rec, config.detection_time,
-                                    a_cfg, config.atom.mass)
-        report.assumptions = [
-            f"area convention A = R*L_M = {geometry.area:.6g} m^2",
-            "exact optimizer prefactor (SNR at omega_min is 1)",
-            *config.provenance]
-        env = ResultEnvelope("omega-min", config.echo, {})
-        env.add("a", a_cfg, "dimensionless")
+def _add_budget(env: ResultEnvelope, report):
+    """The sensitivity_budget both forms of omega-min report."""
     env.add("omega_min", report.omega_min, "rad/s/sqrt(Hz)")
     env.add("s_opt", report.s_opt, "dimensionless")
     env.add("xi_opt", report.xi_opt, "dimensionless")
@@ -455,29 +420,51 @@ def cmd_omega_min(config: RunConfig | None = None, case: str | None = None,
     for name, value in STATE_OF_THE_ART.items():
         env.add(f"benchmark_{name}", value, "rad/s/sqrt(Hz)")
         env.add(f"ratio_to_{name}", report.omega_min / value, "dimensionless")
-    return env
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(NOT_FINITE.format(value))
-    return value
+def cmd_omega_min(config: RunConfig, env: ResultEnvelope):
+    """Minimum detectable rotation rate of the config's ring: the
+    sensitivity_budget at the optimum operating point for its loss
+    parameter a."""
+    medium = config.medium()
+    check_validity(medium, config.preparation, "sensitivity")
+    env.add("a", medium.loss_parameter, "dimensionless")
+    _add_budget(env, sensitivity_budget(
+        config.geometry, medium.scales.v_rec, config.detection_time,
+        medium.loss_parameter, config.atom.mass))
+
+
+def cmd_omega_min_case(env: ResultEnvelope, case: str, species: str = "na23",
+                       a: float = 2.9, time: float = 1.0, area: str = "ring"):
+    """Minimum detectable rotation rate of one case-study ring
+    (sensitivity.case_study), with the other ring's for comparison."""
+    other = "arnold" if case == "gupta" else "gupta"
+    reports = {ring: case_study(ring, species=species, a=a, t=time,
+                                area_convention=area)
+               for ring in (case, other)}
+    env.add(f"omega_min_{other}", reports[other].omega_min, "rad/s/sqrt(Hz)")
+    env.add("gupta_arnold_ratio",
+            reports["gupta"].omega_min / reports["arnold"].omega_min,
+            "dimensionless (area scaling (96/3)^2 = 1024)")
+    _add_budget(env, reports[case])
+
+
+# flag types, checked like config keys
+_positive_float = functools.partial(_checked, float, _POSITIVE)
+_count = functools.partial(_checked, int, ("must be an integer >= 1",
+                                           lambda v: v >= 1))
 
 
 def _a_list(text: str) -> list:
-    values = [_finite_float(tok) for tok in text.replace(",", " ").split()]
-    if not values or min(values) <= 0:
+    values = [_positive_float(tok) for tok in text.replace(",", " ").split()]
+    if not values:
         raise argparse.ArgumentTypeError("need positive loss parameters")
     return values
 
 
 # every flag and its argparse arguments.  A runner takes the flags given
-# as keywords, except config, grid, format and out, which _run consumes.
+# as keywords, except config, grid, format and out, which _run consumes;
+# for profile-out it gets a buffer that _run writes to the path.
 FLAGS = {
     "config": {"help": "JSON config file (flat namespaced keys)"},
     "grid": {"type": int, "help": "override grid.n_points"},
@@ -485,19 +472,21 @@ FLAGS = {
     "out": {"help": "output path (default: config output.path, else stdout)"},
     "direction": {"type": int, "choices": (1, -1)},
     "profile-out": {"help": "write per-x profile CSV here"},
-    "steps": {"type": int, "dest": "n_steps"},
-    "s-min": {"type": _finite_float},
-    "s-max": {"type": _finite_float},
+    "steps": {"type": _count, "dest": "n_steps"},
+    "s-min": {"type": _positive_float},
+    "s-max": {"type": _positive_float},
     "a-list": {"type": _a_list},
     "case": {"choices": sorted(RING_PRESETS)},
     "species": {"choices": sorted(SPECIES_PRESETS)},
-    "a": {"type": _finite_float},
-    "time": {"type": _finite_float},
+    "a": {"type": _positive_float},
+    "time": {"type": _positive_float},
     "area": {"choices": ("ring", "disk")},
 }
 
 
 class Command(NamedTuple):
+    # run([config,] sink, **flags) writes into its sink: the ResultEnvelope
+    # _run builds, or a text buffer for a CSV command
     run: Callable
     output: str       # "envelope" (JSON or CSV name/value/unit) or "csv"
     keys: frozenset   # config keys read; empty: the command takes no config
@@ -541,8 +530,9 @@ COMMANDS = {
                          _MEDIUM | {"detection.time_s"},
                          ("config", "format", "out"),
                          "minimum detectable rotation rate"),
-    "omega-min --case": Command(cmd_omega_min, "envelope", frozenset(), (
-        "case", "species", "a", "time", "area", "format", "out"), ""),
+    "omega-min --case": Command(
+        cmd_omega_min_case, "envelope", frozenset(),
+        ("case", "species", "a", "time", "area", "format", "out"), ""),
 }
 
 
@@ -579,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv) -> tuple:
     """(COMMANDS label, the flags given by dest).  Refuses a flag the
-    label does not take, whether the parser knows it or not."""
+    label does not take, whether the parser knows it or not, and sweep
+    bounds out of order."""
     args, extras = build_parser().parse_known_args(argv)
     given = vars(args)
     command = given.pop("command")
@@ -591,15 +582,44 @@ def _parse(argv) -> tuple:
     if refused:
         raise ConfigError(refused[0],
                           f"slowgyro {label} does not read {refused[0]}")
+    sweep = inspect.signature(cmd_snr_sweep).parameters
+    s_min, s_max = (given.get(k, sweep[k].default) for k in ("s_min", "s_max"))
+    if s_max < s_min:
+        raise ConfigError("--s-max", f"must be >= --s-min "
+                          f"(got {s_max!r} < {s_min!r})")
     return label, given
 
 
+def _write_files(files: list):
+    """Write each (flag, path, buffer), or none: every path is opened for
+    appending first, and a file that this created is removed again when a
+    later path cannot be opened."""
+    created = []
+    for flag, path, _ in files:
+        new = not os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as err:
+            for done in created:
+                os.remove(done)
+            raise ConfigError(flag, f"cannot write {path}: "
+                              f"{err.strerror}") from None
+        if new:
+            created.append(path)
+    for _, path, buffer in files:
+        with open(path, "w", newline="") as out:
+            out.write(buffer.getvalue())
+
+
 def _run(argv) -> int:
+    """Run one command.  Its runner only computes into its sink; this
+    builds the envelope (inputs, provenance, unread keys, warnings) and
+    writes every output, once the runner has succeeded."""
     label, given = _parse(argv)
     spec = COMMANDS[label]
     key, path = "--out", given.pop("out", None)
     fmt = given.pop("format", None)
-    args = ()
+    args, unread = (), []
     if spec.keys:
         raw = read_config(given.pop("config", None))
         if "grid" in given:
@@ -609,45 +629,58 @@ def _run(argv) -> int:
             key, path = "output.path", config.output_path
         fmt = fmt or config.output_format
         args = (config,)
+        unread = sorted(set(raw) - spec.keys - _CONSUMED)
     formats = ("json", "csv") if spec.output == "envelope" else ("csv",)
     fmt = fmt or formats[0]
     if fmt not in formats:
         raise ConfigError("output.format", f"slowgyro {label} writes "
                           f"{' or '.join(formats)}, not {fmt!r}")
+    text, files = io.StringIO(), []
+    if path is not None and path != "-":
+        files.append((key, path, text))
+    if "profile_out" in given:
+        files.append(("--profile-out", given["profile_out"], io.StringIO()))
+        given["profile_out"] = files[-1][2]
 
-    env = None
-    text = io.StringIO()  # the output, written only once the command succeeded
+    env = (ResultEnvelope(label.split()[0], {}, {})
+           if spec.output == "envelope" else None)
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         try:
-            if spec.output == "csv":
-                spec.run(*args, text, **given)
-            else:
-                env = spec.run(*args, **given)
-        finally:  # CSV commands, and failed ones, report warnings on stderr
+            spec.run(*args, text if env is None else env, **given)
+        except BaseException:
+            env = None  # a failed command reports its warnings on stderr
+            raise
+        finally:
             captured = [f"{w.category.__name__}: {w.message}" for w in records]
             if env is None:
                 for line in captured:
                     print(f"warning: {line}", file=sys.stderr)
 
+    notes = [f"set but not read by slowgyro {label}, so not echoed: "
+             f"{', '.join(unread)}"] if unread else []
+    if env is None:
+        for note in notes:
+            print(f"note: {note}", file=sys.stderr)
+    elif spec.keys:
+        env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
+        by_source = {}  # one provenance line per source of the keys read
+        for k in sorted(spec.keys & config.sources.keys()):
+            by_source.setdefault(config.sources[k], []).append(k)
+        env.assumptions += [f"{', '.join(keys)}: {source}"
+                            for source, keys in by_source.items()]
+    else:  # a command without a config echoes the flags it ran with
+        bound = inspect.signature(spec.run).bind_partial(**given)
+        bound.apply_defaults()
+        env.inputs = dict(bound.arguments)
     if env is not None:
-        if spec.keys:
-            env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
-            unread = sorted(set(raw) - spec.keys - _CONSUMED)
-            if unread:
-                env.assumptions.append(f"set but not read by slowgyro {label}"
-                                       f", so not echoed: {', '.join(unread)}")
-        env.warnings.extend(captured)
+        env.assumptions += [f"profile written to {p}" for flag, p, _ in files
+                            if flag == "--profile-out"] + notes
+        env.warnings = captured
         env.write(text, fmt)
+    _write_files(files)
     if path is None or path == "-":
         sys.stdout.write(text.getvalue())
-        return 0
-    try:
-        with open(path, "w", newline="") as out:
-            out.write(text.getvalue())
-    except OSError as err:
-        raise ConfigError(key,
-                          f"cannot write {path}: {err.strerror}") from None
     return 0
 
 

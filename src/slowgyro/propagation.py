@@ -453,17 +453,17 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
     return result
 
 
-def write_profile_csv(result: PropagationResult, path, rabi_p0: float = 1.0):
-    """Per-sample profile (x, |rabi_p|, phase, s, xi) as CSV."""
+def write_profile_csv(result: PropagationResult, out, rabi_p0: float = 1.0):
+    """Per-sample profile (x, |rabi_p|, phase, s, xi) as CSV, written to the
+    text stream `out`."""
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x_m", "abs_rabi_p_rad_s", "phase_rad",
-                         "saturation", "xi"])
-        for i in range(result.x.size):
-            writer.writerow([repr(float(result.x[i])),
-                             repr(float(rabi_p0 * result.amplitude_profile[i])),
-                             repr(float(result.phase_profile[i])),
-                             repr(float(result.s_profile[i])),
-                             repr(float(result.xi_profile[i]))])
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["x_m", "abs_rabi_p_rad_s", "phase_rad", "saturation",
+                     "xi"])
+    for i in range(result.x.size):
+        writer.writerow([repr(float(result.x[i])),
+                         repr(float(rabi_p0 * result.amplitude_profile[i])),
+                         repr(float(result.phase_profile[i])),
+                         repr(float(result.s_profile[i])),
+                         repr(float(result.xi_profile[i]))])

@@ -202,12 +202,20 @@ class SensitivityReport:
     assumptions: list = field(default_factory=list)
 
 
-def sensitivity_budget(geometry: RingGeometry, area: float, v_rec: float,
-                       t: float, a: float, mass: float) -> SensitivityReport:
+def sensitivity_budget(geometry: RingGeometry, v_rec: float, t: float,
+                       a: float, mass: float,
+                       area_convention: str = "ring") -> SensitivityReport:
     """Budget at the optimum operating point for loss parameter a: the
     optimum (s, xi), Omega_min, the count n_D there, the phase noise
-    1/sqrt(n_D) and the SNR at Omega_min (one up to rounding).  The geometry
-    gives F and rho; the area comes apart, in the caller's convention."""
+    1/sqrt(n_D) and the SNR at Omega_min (one up to rounding), with the
+    budget's own assumptions.  The geometry gives F, rho and the area:
+    A = R * L_M for area_convention "ring", pi R^2 for "disk"."""
+    if area_convention == "ring":
+        area, formula = geometry.area, "R*L_M"
+    elif area_convention == "disk":
+        area, formula = math.pi * geometry.radius**2, "pi*R^2"
+    else:
+        raise ParameterError(f"unknown area convention {area_convention!r}")
     cross_section, density = geometry.cross_section, geometry.atom_density
     opt = optimize_snr(a)
     om = omega_min(area, cross_section, density, v_rec, t, a, mass)
@@ -218,7 +226,12 @@ def sensitivity_budget(geometry: RingGeometry, area: float, v_rec: float,
         snr=snr(om, area, cross_section, density, v_rec, t, opt.s_opt,
                 opt.xi_opt, a, mass),
         s_opt=opt.s_opt, xi_opt=opt.xi_opt, g_max=opt.g_max,
-        f=opt.f_estimate, omega_min=om)
+        f=opt.f_estimate, omega_min=om, assumptions=[
+            f"area convention {area_convention}: A = {formula} = "
+            f"{area:.6g} m^2",
+            f"exact optimizer prefactor f = {opt.f_estimate:.5g} "
+            "(SNR at omega_min is 1)",
+            "matter-wave term only; shot noise only (no technical noise)"])
 
 
 def case_study(name: str, species: str = "na23", a: float = 2.9,
@@ -248,26 +261,16 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
     v_rec = derive_recoil(atom, ProbeControlFields(lambda_p=lambda_p,
                                                    rabi_p0=0.0,
                                                    rabi_c=1.0)).v_rec
-    if area_convention == "ring":
-        area = geometry.area
-    elif area_convention == "disk":
-        area = math.pi * radius**2
-    else:
-        raise ParameterError(f"unknown area convention {area_convention!r}")
-
-    report = sensitivity_budget(geometry, area, v_rec, t, a, atom.mass)
-    report.assumptions = [
-        f"case={key}: ring radius {radius} m (waveguide diameter {2*radius*1e3:.0f} mm)",
+    report = sensitivity_budget(geometry, v_rec, t, a, atom.mass,
+                                area_convention)
+    report.assumptions[:0] = [
+        f"case={key}: ring radius {radius} m (waveguide diameter "
+        f"{2*radius*1e3:.0f} mm), full ring L_M = 2*pi*R",
         f"species={species}: mass {atom.mass} kg, probe line {lambda_p*1e9:.2f} nm, "
         f"v_rec {v_rec:.4g} m/s",
         f"density={geometry.atom_density:g} /m^3 and "
         f"cross_section={geometry.cross_section:g} m^2 (toroidal BEC figures)",
         f"loss parameter a={a} (free choice; not fixed by the benchmark numbers)",
         f"detection time t={t} s, so omega_min is per sqrt(Hz)",
-        f"area convention {area_convention}: A = {area:.6g} m^2 "
-        + ("(A = R*L_M with L_M = 2*pi*R)" if area_convention == "ring"
-           else "(disk, pi R^2)"),
-        f"f_mode=exact: f = {report.f:.5g}",
-        "matter-wave term only; shot noise only (no technical noise)",
     ]
     return report

@@ -12,12 +12,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import slowgyro
 from slowgyro import sensitivity
-from slowgyro.cli import (COMMANDS, KEY_SPECS, build_parser, cmd_snr_sweep,
-                          main, normalize_config, read_config)
+from slowgyro.cli import (ATOM_PRESETS, COMMANDS, GEOMETRY_PRESETS,
+                          KEY_SPECS, build_parser, cmd_snr_sweep, main,
+                          normalize_config, read_config)
 from slowgyro.errors import LowCountWarning
 from slowgyro.propagation import frozen_phases
 from slowgyro.ringmodes import Preparation
@@ -283,8 +284,11 @@ class TestSnrSweep:
         assert code == 0
         assert out == ""
         lines = err.splitlines()
-        assert len(lines) == 1
+        assert len(lines) == 2
         assert lines[0].startswith("warning: LowCountWarning: ")
+        # the config sets the probe power, which the sweep scans instead
+        assert lines[1] == ("note: set but not read by slowgyro snr-sweep, "
+                            "so not echoed: fields.rabi_p0_rad_s")
         code, out, _ = run(["snr-sweep", "--config", path], capsys)
         assert out == out_path.read_text()
 
@@ -443,6 +447,14 @@ USAGE_ERRORS = [
     (["phase", "stray"], "stray"),
     (["bogus"], "command"),
     ([], "the following arguments are required"),
+    # out-of-range values, refused at their flag
+    (["snr-sweep", "--steps", "0"], "--steps"),
+    (["snr-sweep", "--s-min", "-1"], "--s-min"),
+    (["snr-sweep", "--s-max", "0"], "--s-max"),
+    (["snr-sweep", "--s-min", "5", "--s-max", "1"], "--s-max"),
+    (["snr-sweep", "--s-min", "500"], "--s-max"),  # above the default s_max
+    (["omega-min", "--case", "gupta", "--time", "0"], "--time"),
+    (["omega-min", "--case", "gupta", "--a", "-1"], "--a"),
 ]
 
 
@@ -495,6 +507,26 @@ def test_overflowing_grid_refused(tmp_path, capsys):
     assert err.startswith("config error: grid.n_points: ")
 
 
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize("bad", ["--out", "--profile-out"])
+def test_unwritable_path_leaves_every_file_as_it_was(tmp_path, capsys, bad,
+                                                     existed):
+    paths = {"--out": tmp_path / "x.json", "--profile-out": tmp_path / "p.csv"}
+    paths[bad] = tmp_path / "missing" / paths[bad].name
+    (good,) = (p for flag, p in paths.items() if flag != bad)
+    if existed:
+        good.write_text("previous\n")
+    code, out, err = run(["phase", *(token for flag, p in paths.items()
+                                     for token in (flag, str(p)))], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"config error: {bad}: cannot write {paths[bad]}: ")
+    assert os.listdir(tmp_path) == (["x.json" if bad == "--profile-out"
+                                     else "p.csv"] if existed else [])
+    if existed:
+        assert good.read_text() == "previous\n"
+
+
 @pytest.mark.parametrize("where", ["--out", "--profile-out", "output.path"])
 def test_unwritable_output_path_is_one_line(tmp_path, capsys, where):
     target = str(tmp_path / "missing" / "result.txt")
@@ -529,6 +561,55 @@ def test_unread_key_named_and_not_echoed(tmp_path, capsys):
     assert env["assumptions"][-1] == (
         "set but not read by slowgyro omega-min, so not echoed: "
         "fields.rabi_p0_rad_s, geometry.rotation_rate_rad_s, grid.n_points")
+
+
+def test_sweep_names_unread_keys_on_stderr(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"fields.rabi_p0_rad_s": 5e7,
+                                "grid.n_points": 128}))
+    code, out, err = run(["snr-sweep", "--config", str(path)], capsys)
+    assert code == 0
+    assert err == ("note: set but not read by slowgyro snr-sweep, so not "
+                   "echoed: fields.rabi_p0_rad_s, grid.n_points\n")
+    assert (0, out, "") == run(["snr-sweep"], capsys)
+
+
+def _provenance(assumptions):
+    """{key: line} for the assumption lines of the form `<keys>: <source>`."""
+    named = {}
+    for line in assumptions:
+        head, sep, _ = line.partition(": ")
+        keys = head.split(", ")
+        if sep and set(keys) <= set(KEY_SPECS):
+            for key in keys:
+                assert key not in named, f"{key} named twice"
+                named[key] = line
+    return named
+
+
+@pytest.mark.parametrize("argv", [["steady-state"],
+                                  ["propagate", "--direction", "-1"],
+                                  ["phase"], ["omega-min"]],
+                         ids=" ".join)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_provenance_names_exactly_the_filled_keys_read(tmp_path_factory,
+                                                        argv, data):
+    """A key is attributed to a preset, the gamma13 default or the full
+    ring exactly when the command reads it and the config left it unset."""
+    raw = {key: value for key, value in _random_config(data.draw).items()
+           if data.draw(st.booleans(), label=f"keep {key}")}
+    path = tmp_path_factory.mktemp("provenance") / "config.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = _main([*argv, "--config", str(path)])
+    assume(code == 0)  # a refused config writes no envelope
+    env = json.loads(out)
+    filled = (set(ATOM_PRESETS[raw.get("atom.preset", "rb87")])
+              | set(GEOMETRY_PRESETS[raw.get("geometry.preset", "gupta")])
+              | {"atom.gamma13_per_s", "geometry.medium_length_m"}) - set(raw)
+    named = _provenance(env["assumptions"])
+    assert set(named) <= set(env["inputs"])
+    assert set(named) == filled & set(env["inputs"])
 
 
 ROUND_TRIP_CONFIGS = {

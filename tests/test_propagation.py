@@ -418,7 +418,8 @@ class TestProfiles:
         medium = medium_for(a=1.0, xi=2.0, s0=0.3)
         res = propagate_allorder(medium, SUPERFLUID, grid_for(medium))
         path = tmp_path / "profile.csv"
-        write_profile_csv(res, path, medium.fields.rabi_p0)
+        with open(path, "w", newline="") as fh:
+            write_profile_csv(res, fh, medium.fields.rabi_p0)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x_m", "abs_rabi_p_rad_s", "phase_rad",

@@ -284,8 +284,7 @@ class TestCaseStudies:
         with pytest.raises(ParameterError):
             case_study("unknown")
 
-    @pytest.mark.parametrize("f_mode", ["exact"])
-    def test_f_modes_agree_with_omega_min(self, f_mode):
+    def test_prefactor_agrees_with_omega_min(self):
         report = case_study("gupta", species="na23", a=2.9)
         v_rec = hbar * (2.0 * math.pi / 589.0e-9) / NA23.mass
         area = 1.5e-3 * (2.0 * math.pi * 1.5e-3)
@@ -293,7 +292,8 @@ class TestCaseStudies:
         assert report.omega_min == omega_min(
             area, gupta["cross_section"], gupta["density"], v_rec, 1.0, 2.9,
             NA23.mass)
-        assert f"f_mode={f_mode}: f = {report.f:.5g}" in report.assumptions
+        assert (f"exact optimizer prefactor f = {report.f:.5g} "
+                "(SNR at omega_min is 1)") in report.assumptions
 
 
 class TestComposedPipeline:
