@@ -7,24 +7,29 @@ probe/control driven three-level atom obeys a local linear system
 
 once nonlocal coherence-gradient couplings are dropped (they are smaller
 than the optical-coherence damping gamma2/2 by a factor ~ k_p*Omega*R /
-(gamma2/2)).  Rotation enters M only through Doppler-like shifts
-Omega*R*k_p on the optical and Raman coherences, and enters the drift only
-through Omega*R, which the steady-state solve neglects.
+(gamma2/2)).  Rotation enters M only through the Doppler-like shift
+D_rot = Omega*R*k_p of both detunings, and enters the drift only through
+Omega*R, which the steady-state solve neglects.
+
+M rho = -i[H, rho] + L(rho), with the rotating-frame Hamiltonian
+
+        | 0      rabi_p*              0                  |
+    H = | rabi_p -(delta2 + D_rot)    rabi_c             |
+        | 0      rabi_c*              -(delta3 + D_rot)  |
+
+and the dissipator L: level 2 decays at gamma2 = gamma1 + gamma3, feeding
+rho11 at gamma1 and rho33 at gamma3; the optical coherences rho12, rho23
+decay at gamma2/2 and the ground coherence rho13 at gamma13, each with its
+conjugate.
 
 Vectorization order is fixed as
     (rho11, rho12, rho13, rho21, rho22, rho23, rho31, rho32, rho33)
-i.e. the row-major flattening of the 3x3 matrix.  The trace constraint
-sum_mu rho_mumu = n eliminates rho33 and produces the reduced 8x8 system
-solved for the steady state.
-
-The bare equation for rho23 carries a typographically garbled detuning
-term in its usual statement; it is implemented as
--(i(delta2 - delta3) + gamma2/2) rho23 by symmetry with the rho12 equation
-and listed in BlochGenerator.interpreted_terms.
+i.e. the row-major flattening of the 3x3 matrix, in which -i[H, rho]
+becomes -i(H x 1 - 1 x H^T) vec(rho).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +44,8 @@ __all__ = [
     "steady_state",
 ]
 
-# index of the conjugate element under (i,j) -> (j,i) in the fixed order
-_CONJ = (0, 3, 6, 1, 4, 7, 2, 5, 8)
+_EYE3 = np.eye(3)
+_TRACE_ROW = _EYE3.reshape(9)
 
 _HERM_TOL = 1e-10
 
@@ -64,10 +69,9 @@ class DensityMatrix:
 
     def validate(self):
         """Check hermiticity, trace and diagonal reality; raises on violation
-        beyond the 1e-10 tolerances.  A genuinely negative population only
-        warns: far from the EIT regime the local model equations themselves
-        converge to such states, so rejecting them would misreport the
-        model's own steady state."""
+        beyond the 1e-10 tolerances.  A negative population beyond the same
+        tolerance only warns: it is a safety check on the solve's output,
+        which no randomized parameter draw of the test suite trips."""
         scale = max(abs(self.norm), 1e-300)
         herm = np.abs(self.rho - self.rho.conj().T).max()
         if herm > _HERM_TOL * scale:
@@ -81,37 +85,25 @@ class DensityMatrix:
         if diag.real.min() < -_HERM_TOL * scale:
             warnings.warn(
                 f"steady state carries a negative population "
-                f"({diag.real.min():.3e}); the operating point is outside "
-                "the positivity domain of the local model equations",
+                f"({diag.real.min():.3e}) beyond roundoff; treat it as "
+                "suspect",
                 NonpositiveStateWarning, stacklevel=2)
         return self
 
 
 @dataclass
 class BlochGenerator:
-    """Local generator M, drift matrix D and the constraint-reduced system.
+    """Local generator M and drift matrix D of the Lambda system.
 
     M is the 9x9 generator acting on the vectorized density matrix; D holds
     the coefficients of v_rec * d/dx in the compact transport form (zero on
-    the rho11 row, one elsewhere).  reduced_m is the 8x8 matrix with rho33
-    eliminated through the trace constraint, and source is the 8-vector
-    multiplying the constraint value n in the inhomogeneity.
-    drift_velocity lists the full per-row drift speeds (Omega*R terms
-    included) for diagnostic use only.
+    the rho11 row, one elsewhere).  drift_velocity lists the full per-row
+    drift speeds (Omega*R terms included) for diagnostic use only.
     """
 
     m: np.ndarray                  # (9,9) complex
     d: np.ndarray                  # (9,9) real
-    reduced_m: np.ndarray          # (8,8) complex
-    source: np.ndarray             # (8,) complex, times n
     drift_velocity: np.ndarray     # (9,) real, m/s
-    gamma2: float
-    k_p: float = 0.0
-    v_rec: float = 0.0
-    rotation_rate: float = 0.0
-    radius: float = 0.0
-    interpreted_terms: tuple = field(default=(
-        "rho23 detuning read as -(i(delta2-delta3)+gamma2/2)",))
 
 
 def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
@@ -125,65 +117,24 @@ def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
     """
     if rabi_c == 0:
         raise DegenerateEITError("control field is zero: no EIT dressing")
-    g1, g3, g13 = atom.gamma1, atom.gamma3, atom.gamma13
-    g2 = atom.gamma2
+    g2, g13 = atom.gamma2, atom.gamma13
     op, oc = complex(rabi_p), complex(rabi_c)
     doppler = rotation_rate * radius * k_p
+    h = np.array([[0.0, op.conjugate(), 0.0],
+                  [op, -(delta2 + doppler), oc],
+                  [0.0, oc.conjugate(), -(delta3 + doppler)]])
 
-    m = np.zeros((9, 9), dtype=complex)
-
-    # populations
-    m[0, 4] += g1
-    m[0, 3] += -1j * op.conjugate()
-    m[0, 1] += 1j * op
-
-    m[4, 4] += -g2
-    m[4, 3] += 1j * op.conjugate()
-    m[4, 1] += -1j * op
-    m[4, 5] += 1j * oc.conjugate()
-    m[4, 7] += -1j * oc
-
-    m[8, 4] += g3
-    m[8, 5] += -1j * oc.conjugate()
-    m[8, 7] += 1j * oc
-
-    # coherences rho12, rho13, rho23
-    m[1, 1] += -(1j * (delta2 + doppler) + 0.5 * g2)
-    m[1, 2] += 1j * oc.conjugate()
-    m[1, 4] += -1j * op.conjugate()
-    m[1, 0] += 1j * op.conjugate()
-
-    m[2, 2] += -(1j * (delta3 + doppler) + g13)
-    m[2, 5] += -1j * op.conjugate()
-    m[2, 1] += 1j * oc
-
-    m[5, 5] += -(1j * (delta2 - delta3) + 0.5 * g2)
-    m[5, 2] += -1j * op
-    m[5, 8] += -1j * oc
-    m[5, 4] += 1j * oc
-
-    # conjugate rows: d/dt rho_nu,mu = conj(d/dt rho_mu,nu)
-    for row, src in ((3, 1), (6, 2), (7, 5)):
-        for col in range(9):
-            m[row, _CONJ[col]] = m[src, col].conjugate()
+    m = -1j * (np.kron(h, _EYE3) - np.kron(_EYE3, h.T))
+    m -= np.diag([0.0, 0.5 * g2, g13, 0.5 * g2, g2, 0.5 * g2, g13, 0.5 * g2,
+                  0.0])
+    m[0, 4] += atom.gamma1
+    m[8, 4] += atom.gamma3
 
     d = np.eye(9)
     d[0, 0] = 0.0
-
-    # reduce with rho33 = n - rho11 - rho22
-    keep = list(range(8))
-    reduced = m[np.ix_(keep, keep)].copy()
-    reduced[:, 0] -= m[keep, 8]
-    reduced[:, 4] -= m[keep, 8]
-    source = m[keep, 8].copy()
-
     drift = np.full(9, rotation_rate * radius + v_rec)
     drift[0] = rotation_rate * radius
-
-    return BlochGenerator(m=m, d=d, reduced_m=reduced, source=source,
-                          drift_velocity=drift, gamma2=g2, k_p=k_p,
-                          v_rec=v_rec, rotation_rate=rotation_rate,
-                          radius=radius)
+    return BlochGenerator(m=m, d=d, drift_velocity=drift)
 
 
 def _null_dimension(a: np.ndarray) -> int:
@@ -196,26 +147,28 @@ def _null_dimension(a: np.ndarray) -> int:
 def steady_state(gen: BlochGenerator, n: float = 1.0) -> DensityMatrix:
     """Steady state of M under the trace constraint sum rho_mumu = n.
 
-    Solves the reduced 8x8 linear system; raises
+    Solves M vec(rho) = 0 with the rho33 row, which the other two
+    population rows determine, replaced by the trace row.  Raises
     DegenerateSteadyStateError naming the null-space dimension when the
     constrained system is singular (for example with all decay switched
     off and no probe, where dark subspaces are degenerate).
     """
-    rhs = -n * gen.source
+    a = gen.m.copy()
+    scale = np.abs(a).max()  # trace row on M's scale: trace exact to roundoff
+    a[8] = scale * _TRACE_ROW
+    rhs = np.zeros(9, dtype=complex)
+    rhs[8] = scale * n
     try:
-        red = np.linalg.solve(gen.reduced_m, rhs)
+        vec = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        raise DegenerateSteadyStateError(_null_dimension(gen.reduced_m)) from None
-    residual = np.linalg.norm(gen.reduced_m @ red - rhs)
-    scale = np.linalg.norm(gen.reduced_m) * np.linalg.norm(red) + np.linalg.norm(rhs)
-    if scale > 0 and not residual <= 1e-9 * scale:
+        raise DegenerateSteadyStateError(_null_dimension(a)) from None
+    residual = np.linalg.norm(a @ vec - rhs)
+    bound = np.linalg.norm(a) * np.linalg.norm(vec) + np.linalg.norm(rhs)
+    if bound > 0 and not residual <= 1e-9 * bound:
         raise DegenerateSteadyStateError(
-            _null_dimension(gen.reduced_m),
+            _null_dimension(a),
             f"ill-conditioned steady-state solve (residual {residual:.3e})")
 
-    vec = np.empty(9, dtype=complex)
-    vec[:8] = red
-    vec[8] = n - vec[0] - vec[4]
     rho = vec.reshape(3, 3)
     # scrub solver roundoff so the invariants hold exactly where they should
     rho = 0.5 * (rho + rho.conj().T)

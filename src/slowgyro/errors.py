@@ -12,12 +12,13 @@ class DegenerateEITError(ParameterError):
 
 class DegenerateSteadyStateError(RuntimeError):
     """The constrained Bloch system is singular: the steady state is not
-    unique.  Carries the dimension of the null space of the reduced system."""
+    unique.  Carries the dimension of the null space of the constrained
+    system."""
 
     def __init__(self, null_dim: int, message: str = ""):
         self.null_dim = null_dim
         super().__init__(
-            message or f"steady state not unique: reduced system has a "
+            message or f"steady state not unique: constrained system has a "
             f"{null_dim}-dimensional null space"
         )
 
@@ -67,7 +68,7 @@ class ThermalRegimeWarning(UserWarning):
 
 
 class NonpositiveStateWarning(UserWarning):
-    """The steady state carries a (small) negative population.  The local
-    model equations are not completely positive arbitrarily far from the
-    EIT regime (strong probe, large detuning), and the time evolution
-    genuinely converges to such states there."""
+    """A density matrix carries a negative population beyond roundoff.
+    DensityMatrix.validate raises it as a safety check on solver output;
+    the Bloch steady state, built from a Hermitian Hamiltonian and the
+    decay rates, has not been seen to trip it."""

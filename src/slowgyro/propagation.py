@@ -56,7 +56,7 @@ __all__ = [
     "write_profile_csv",
 ]
 
-MAX_STEP_CHANGE = 0.1   # per-step |d ln(rabi_p)| above which the step fails
+MAX_STEP_CHANGE = 0.1   # per-step |d ln|rabi_p|| above which the step fails
 _MAX_REFINE = 64        # refinement floor: give up past this many substeps
 _GUPTA = RING_PRESETS["gupta"]  # from_dimensionless's default ring
 
@@ -318,7 +318,9 @@ def _rk4(y0, h, n_steps, loss, pref, tan2, rc2, vrec_c, gate):
     saturation s from the local amplitude.
 
     Returns (log-amplitude samples at the n_steps+1 grid points,
-    largest per-step increment |h * dy/dx| seen).
+    largest per-step log-amplitude increment |h * Re dy/dx| seen).  The
+    phase increment is not counted: the right-hand side depends on y only
+    through its real part, so the phase never feeds back.
     """
     out = np.empty(n_steps + 1, dtype=complex)
     y = complex(y0)
@@ -331,7 +333,7 @@ def _rk4(y0, h, n_steps, loss, pref, tan2, rc2, vrec_c, gate):
         k4 = _rhs(y + h * k3, loss, pref, tan2, rc2, vrec_c, gate)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
-        step = abs(h * k1)
+        step = abs(h * k1.real)
         if step > max_step:
             max_step = step
     return out, max_step

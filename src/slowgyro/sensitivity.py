@@ -179,11 +179,19 @@ def omega_min(area: float, cross_section: float, density: float, v_rec: float,
     value f = 1/(g_max(a) sqrt(a)), so the SNR at Omega_min is exactly one
     for this a.
     """
-    if min(area, cross_section, density, v_rec, t, mass) <= 0 or a <= 0:
+    if a <= 0:
         raise ParameterError("omega_min arguments must be positive")
-    f_val = optimize_snr(a).f_estimate
+    return _omega_min_at(optimize_snr(a), area, cross_section, density,
+                         v_rec, t, mass)
+
+
+def _omega_min_at(opt: OptimumPoint, area: float, cross_section: float,
+                  density: float, v_rec: float, t: float, mass: float) -> float:
+    """omega_min at an optimum already solved for its loss parameter."""
+    if min(area, cross_section, density, v_rec, t, mass) <= 0:
+        raise ParameterError("omega_min arguments must be positive")
     flux = math.sqrt(cross_section * density * v_rec * t)
-    return hbar / mass / area / flux * f_val * math.sqrt(a)
+    return hbar / mass / area / flux * opt.f_estimate * math.sqrt(opt.a)
 
 
 @dataclass
@@ -218,7 +226,7 @@ def sensitivity_budget(geometry: RingGeometry, v_rec: float, t: float,
         raise ParameterError(f"unknown area convention {area_convention!r}")
     cross_section, density = geometry.cross_section, geometry.atom_density
     opt = optimize_snr(a)
-    om = omega_min(area, cross_section, density, v_rec, t, a, mass)
+    om = _omega_min_at(opt, area, cross_section, density, v_rec, t, mass)
     n_d = detector_photons(cross_section, density, v_rec, t, opt.xi_opt,
                            opt.s_opt, a)
     return SensitivityReport(

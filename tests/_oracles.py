@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the code paths they check: the steady state is
-cross-checked by matrix-exponential time evolution, the SNR optimum by a
+These deliberately avoid the code paths they check: the Bloch generator
+is rebuilt column by column from its action on the basis matrices, the
+steady state is cross-checked by matrix-exponential time evolution, the SNR optimum by a
 brute grid plus a scipy polish, quadratures by closed forms, the loss bound
 by the exact power-dependent absorption, the detector count by the raw beam
 power.  They share only the package's physical constants.
@@ -15,6 +16,39 @@ from scipy.optimize import minimize
 
 from slowgyro._constants import c, epsilon_0, hbar
 from slowgyro.sensitivity import shape_factor
+
+
+def liouvillian_by_basis(gamma1, gamma3, gamma13, rabi_p, rabi_c,
+                         delta2=0.0, delta3=0.0):
+    """The 9x9 Bloch generator in the row-major vec order, built by
+    applying -i[H, E] plus the dissipator to each basis matrix E.  Decay of
+    level 2 is the Lindblad form of the jump operators sqrt(gamma1)|1><2|
+    and sqrt(gamma3)|3><2|; gamma13 damps rho13 and rho31 only."""
+    h = np.array([[0.0, np.conj(rabi_p), 0.0],
+                  [rabi_p, -delta2, rabi_c],
+                  [0.0, np.conj(rabi_c), -delta3]], dtype=complex)
+    jumps = []
+    for rate, lower in ((gamma1, 0), (gamma3, 2)):
+        jump = np.zeros((3, 3), dtype=complex)
+        jump[lower, 1] = math.sqrt(rate)
+        jumps.append(jump)
+
+    def rhs(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for jump in jumps:
+            jdag_j = jump.conj().T @ jump
+            out += (jump @ rho @ jump.conj().T
+                    - 0.5 * (jdag_j @ rho + rho @ jdag_j))
+        out[0, 2] -= gamma13 * rho[0, 2]
+        out[2, 0] -= gamma13 * rho[2, 0]
+        return out
+
+    m = np.empty((9, 9), dtype=complex)
+    for k in range(9):
+        basis = np.zeros((3, 3), dtype=complex)
+        basis[k // 3, k % 3] = 1.0
+        m[:, k] = rhs(basis).reshape(9)
+    return m
 
 
 def evolve_to_steady(gen, n=1.0, horizon_factor=60.0):

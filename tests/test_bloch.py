@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.constants import c, hbar
 
-from _oracles import absorption_exact, evolve_to_steady, random_lambda_params
-from slowgyro.bloch import build_generator, steady_state
+from _oracles import (absorption_exact, evolve_to_steady,
+                      liouvillian_by_basis, random_lambda_params)
+from slowgyro.bloch import DensityMatrix, build_generator, steady_state
 from slowgyro.errors import (DegenerateEITError, DegenerateSteadyStateError,
                              NonpositiveStateWarning)
 from slowgyro.params import RB87, AtomSpecies
@@ -26,6 +28,23 @@ class TestGeneratorStructure:
                               rotation_rate=omega, radius=radius, k_p=k_p)
         expected = -(1j * (delta2 + omega * radius * k_p) + 0.5 * (2 * GAMMA))
         assert gen.m[1, 1] == expected
+
+    def test_matches_basis_oracle(self):
+        # one Hamiltonian and the decay rates give every entry, including
+        # the rho23 detuning -i((delta3 + D) - (delta2 + D))
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            p = random_lambda_params(rng)
+            atom = make_atom(p["gamma1"], p["gamma3"], p["gamma13"])
+            gen = build_generator(atom, p["rabi_p"], p["rabi_c"],
+                                  p["delta2"], p["delta3"],
+                                  rotation_rate=p["doppler"], radius=1.0,
+                                  k_p=1.0)
+            oracle = liouvillian_by_basis(
+                p["gamma1"], p["gamma3"], p["gamma13"], p["rabi_p"],
+                p["rabi_c"], p["delta2"] + p["doppler"],
+                p["delta3"] + p["doppler"])
+            assert np.abs(gen.m - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
     def test_population_rows_sum_to_zero_equal_branches(self):
         gen = build_generator(make_atom(), 2.3e5 + 4e4j, 1e6 - 3e5j,
@@ -141,18 +160,33 @@ class TestSteadyState:
         rho2 = steady_state(gen, n=2.5e18)
         assert np.abs(rho2.rho - 2.5e18 * rho1.rho).max() <= 1e-9 * 2.5e18
 
-    def test_negative_population_outside_eit_regime_warns(self):
-        # strong probe with large detunings: the local equations genuinely
-        # converge to a state with a small negative rho33 (the time
-        # evolution agrees), which must warn rather than fail
+    def test_strong_detuned_probe_keeps_populations_positive(self):
+        # strong probe with large, unequal detunings: the steady state stays
+        # a density matrix and the time evolution agrees
         atom = make_atom(gamma1=1.496e7, gamma3=6.422e6, gamma13=1723.0)
         gen = build_generator(atom, 2.25e7, 1.57e7, delta2=-6.384e7,
                               delta3=-2.807e7)
-        with pytest.warns(NonpositiveStateWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonpositiveStateWarning)
             rho = steady_state(gen, n=1.0)
-        assert rho.rho[2, 2].real < -1e-4
+        assert np.diag(rho.rho).real.min() >= 0.0
         rho_t = evolve_to_steady(gen, n=1.0)
         assert np.abs(rho.rho - rho_t).max() <= 1e-8
+
+    def test_no_negative_population_on_random_draws(self):
+        rng = np.random.default_rng(2024)
+        worst = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NonpositiveStateWarning)
+            for _ in range(5000):
+                p = random_lambda_params(rng)
+                atom = make_atom(p["gamma1"], p["gamma3"], p["gamma13"])
+                gen = build_generator(atom, p["rabi_p"], p["rabi_c"],
+                                      p["delta2"], p["delta3"],
+                                      rotation_rate=p["doppler"], radius=1.0,
+                                      k_p=1.0)
+                worst = min(worst, np.diag(steady_state(gen).rho).real.min())
+        assert worst >= -1e-10
 
     def test_degenerate_system_raises_with_null_dimension(self):
         atom = AtomSpecies(mass=RB87.mass, dipole_p=RB87.dipole_p,
@@ -161,6 +195,13 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError) as err:
             steady_state(gen, n=1.0)
         assert err.value.null_dim == 2
+
+
+class TestDensityMatrix:
+    def test_validate_warns_on_negative_population(self):
+        rho = DensityMatrix(np.diag([1.1, 0.0, -0.1]), norm=1.0)
+        with pytest.warns(NonpositiveStateWarning, match="-1.000e-01"):
+            assert rho.validate() is rho
 
 
 class TestCoherence:

@@ -13,6 +13,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.constants import c
+from scipy.integrate import quad
 
 import slowgyro
 from slowgyro import sensitivity
@@ -159,6 +161,31 @@ class TestPhase:
         _, out2, _ = run(["phase", "--config", str(echo)], capsys)
         env2 = json.loads(out2)
         assert env1["results"] == env2["results"]
+
+    def test_large_rotational_phase_matches_quadrature(self, tmp_path,
+                                                       capsys):
+        # ~3e3 rad of phase on 255 cells: only the log-amplitude step
+        # (kappa * h) bounds the kernel's accuracy, the phase step does not
+        path = write_config(tmp_path, {"geometry.preset": "arnold",
+                                       "geometry.rotation_rate_rad_s": 1.0})
+        code, out, _ = run(["phase", "--config", path], capsys)
+        assert code == 0
+        config = normalize_config(read_config(path))
+        medium, geo = config.medium(), config.geometry
+        t2, kappa = medium.tan2_theta, medium.kappa
+        s0 = (config.fields.rabi_p0 / config.fields.rabi_c) ** 2
+        pref = config.fields.k_p * geo.rotation_rate * geo.radius / c
+        vrec_c = medium.scales.v_rec / c
+
+        def rate(x):
+            s = s0 * math.exp(-2.0 * kappa * x)
+            return pref * (1.0 + t2 / (1.0 + s) ** 2) \
+                / (1.0 + vrec_c * t2 / (1.0 + s) ** 3)
+
+        expected, _ = quad(rate, 0.0, geo.medium_length, epsabs=0.0,
+                           epsrel=1e-13)
+        got = json.loads(out)["results"]["phase_cw"]["value"]
+        assert got == pytest.approx(expected, rel=1e-10)
 
     def test_agrees_with_copropagating_propagate(self, capsys):
         _, out_phase, _ = run(["phase"], capsys)

@@ -284,6 +284,18 @@ class TestCaseStudies:
         with pytest.raises(ParameterError):
             case_study("unknown")
 
+    def test_budget_solves_the_optimum_once(self, monkeypatch):
+        calls = []
+        solve = sensitivity.optimize_snr
+
+        def counted(a):
+            calls.append(a)
+            return solve(a)
+
+        monkeypatch.setattr(sensitivity, "optimize_snr", counted)
+        case_study("gupta", species="na23", a=2.9)
+        assert calls == [2.9]
+
     def test_prefactor_agrees_with_omega_min(self):
         report = case_study("gupta", species="na23", a=2.9)
         v_rec = hbar * (2.0 * math.pi / 589.0e-9) / NA23.mass
