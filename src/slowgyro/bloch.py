@@ -1,15 +1,15 @@
 """Local density-matrix generator of the Lambda system in the rotating frame.
 
 The single-particle density matrix rho_{mu nu} (mu, nu in {1,2,3}) of the
-probe/control driven three-level atom obeys a local linear system
+probe/control driven three-level atom obeys the local linear system
 
-    d rho / dt = (M + v_rec * D * d/dx) rho
+    d rho / dt = M rho
 
 once nonlocal coherence-gradient couplings are dropped (they are smaller
 than the optical-coherence damping gamma2/2 by a factor ~ k_p*Omega*R /
-(gamma2/2)).  Rotation enters M only through the Doppler-like shift
-D_rot = Omega*R*k_p of both detunings, and enters the drift only through
-Omega*R, which the steady-state solve neglects.
+(gamma2/2)) and the transport drift (v_rec + Omega*R) d/dx is neglected.
+Rotation enters M only through the Doppler-like shift D_rot = Omega*R*k_p
+of both detunings.
 
 M rho = -i[H, rho] + L(rho), with the rotating-frame Hamiltonian
 
@@ -62,11 +62,6 @@ class DensityMatrix:
         if self.rho.shape != (3, 3):
             raise ParameterError(f"rho must be 3x3, got {self.rho.shape}")
 
-    @property
-    def rho21(self) -> complex:
-        """Optical coherence sourcing the probe polarization."""
-        return complex(self.rho[1, 0])
-
     def validate(self):
         """Check hermiticity, trace and diagonal reality; raises on violation
         beyond the 1e-10 tolerances.  A negative population beyond the same
@@ -93,17 +88,10 @@ class DensityMatrix:
 
 @dataclass
 class BlochGenerator:
-    """Local generator M and drift matrix D of the Lambda system.
+    """Local generator M of the Lambda system: the 9x9 matrix acting on the
+    vectorized density matrix."""
 
-    M is the 9x9 generator acting on the vectorized density matrix; D holds
-    the coefficients of v_rec * d/dx in the compact transport form (zero on
-    the rho11 row, one elsewhere).  drift_velocity lists the full per-row
-    drift speeds (Omega*R terms included) for diagnostic use only.
-    """
-
-    m: np.ndarray                  # (9,9) complex
-    d: np.ndarray                  # (9,9) real
-    drift_velocity: np.ndarray     # (9,) real, m/s
+    m: np.ndarray  # (9,9) complex
 
 
 def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
@@ -113,7 +101,8 @@ def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
     """Assemble the local generator for given fields, detunings and rotation.
 
     rabi_p and rabi_c may be complex; rabi_c must be nonzero for the medium
-    to be dressed at all.
+    to be dressed at all.  v_rec sets the transport drift, which M leaves
+    out (see the module docstring), so it changes nothing here.
     """
     if rabi_c == 0:
         raise DegenerateEITError("control field is zero: no EIT dressing")
@@ -129,12 +118,7 @@ def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
                   0.0])
     m[0, 4] += atom.gamma1
     m[8, 4] += atom.gamma3
-
-    d = np.eye(9)
-    d[0, 0] = 0.0
-    drift = np.full(9, rotation_rate * radius + v_rec)
-    drift[0] = rotation_rate * radius
-    return BlochGenerator(m=m, d=d, drift_velocity=drift)
+    return BlochGenerator(m=m)
 
 
 def _null_dimension(a: np.ndarray) -> int:

@@ -141,9 +141,9 @@ def _checked(typ, check, value):
 
 
 def _expand(work: dict, key: str, presets: dict, what: str, note: str,
-            sources: dict) -> str:
+            sources: dict):
     """Fill the keys of the preset named at `key` that the config leaves
-    unset, and record their source; returns the preset's name."""
+    unset, and record their source."""
     name = str(work.pop(key)).lower()
     if name not in presets:
         raise ConfigError(key, f"unknown {what} preset {name!r}; "
@@ -153,7 +153,6 @@ def _expand(work: dict, key: str, presets: dict, what: str, note: str,
         if k not in work:
             work[k] = value
             sources[k] = source
-    return name
 
 
 def _build(namespace: str, cls, **kwargs):
@@ -177,9 +176,8 @@ def normalize_config(raw: dict) -> RunConfig:
     work.update(raw)
     sources = {}
 
-    preset_name = _expand(work, "atom.preset", ATOM_PRESETS, "species",
-                          "standard alkali D2-line data, equal decay "
-                          "branches", sources)
+    _expand(work, "atom.preset", ATOM_PRESETS, "species",
+            "standard alkali D2-line data, equal decay branches", sources)
     if "atom.gamma13_per_s" not in raw:
         sources["atom.gamma13_per_s"] = ("default 1 kHz (typical "
                                          "ground-coherence dephasing of "
@@ -211,7 +209,7 @@ def normalize_config(raw: dict) -> RunConfig:
                   dipole_p=values["atom.dipole_p_Cm"],
                   gamma1=values["atom.gamma1_per_s"],
                   gamma3=values["atom.gamma3_per_s"],
-                  gamma13=values["atom.gamma13_per_s"], name=preset_name)
+                  gamma13=values["atom.gamma13_per_s"])
     fields_obj = _build("fields.*", ProbeControlFields,
                         lambda_p=values["fields.lambda_p_m"],
                         rabi_p0=values["fields.rabi_p0_rad_s"],
@@ -352,25 +350,39 @@ def cmd_propagate(config: RunConfig, env: ResultEnvelope, direction: int = 1,
             "rad")
 
 
+def _dressed_medium(config: RunConfig) -> RingMedium:
+    """The config's medium, refused when the probe does not couple to it:
+    the SNR of snr-sweep and omega-min needs g2rho > 0."""
+    medium = config.medium()
+    inputs = {"atom.dipole_p_Cm": config.atom.dipole_p,
+              "geometry.atom_density_per_m3": config.geometry.atom_density}
+    if medium.scales.g2rho == 0.0:  # a zero input, or their product underflows
+        zero = [key for key, value in inputs.items() if value == 0.0] or inputs
+        raise ConfigError(", ".join(zero), "the probe does not couple to the "
+                          "medium (g2rho = 0), so there is no signal to sense")
+    return medium
+
+
 def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
                   s_max: float = 1e2, n_steps: int = 200):
     """SNR versus input probe Rabi frequency, CSV columns
     (rabi_p0, s, snr_total, snr_matter, snr_light).  Each row holds the
     saturation frozen at its input value (frozen_phases), so the whole
     table is one closed-form pass; nothing is written unless every input
-    is valid."""
-    if not (math.isfinite(s_min) and math.isfinite(s_max)):
-        raise ConfigError("sweep", "s_min and s_max must be finite")
-    if s_min <= 0 or s_max <= 0 or s_max < s_min:
-        raise ConfigError("sweep", "need 0 < s_min <= s_max")
+    is valid.  Bounds are refused under the flag that sets them."""
+    for flag, bound in (("--s-min", s_min), ("--s-max", s_max)):
+        if not 0 < bound < math.inf:
+            raise ConfigError(flag, f"must be a positive finite number "
+                              f"(got {bound!r})")
+    if s_max < s_min:
+        raise ConfigError("--s-max", f"must be >= --s-min "
+                          f"(got {s_max!r} < {s_min!r})")
     if n_steps < 1:
-        raise ConfigError("sweep", "n_steps must be >= 1")
-    medium = config.medium()
+        raise ConfigError("--steps", f"must be an integer >= 1 "
+                          f"(got {n_steps!r})")
+    medium = _dressed_medium(config)
     geometry = config.geometry
     xi = medium.xi
-    if not np.isfinite(xi):
-        raise ConfigError("geometry.atom_density_per_m3",
-                          "snr-sweep needs a dressed medium (nonzero density)")
     s_values = np.geomspace(s_min, s_max, n_steps)
     rabi_c = config.fields.rabi_c
     rabi_p0 = np.sqrt(s_values) * rabi_c
@@ -426,7 +438,7 @@ def cmd_omega_min(config: RunConfig, env: ResultEnvelope):
     """Minimum detectable rotation rate of the config's ring: the
     sensitivity_budget at the optimum operating point for its loss
     parameter a."""
-    medium = config.medium()
+    medium = _dressed_medium(config)
     check_validity(medium, config.preparation, "sensitivity")
     env.add("a", medium.loss_parameter, "dimensionless")
     _add_budget(env, sensitivity_budget(
@@ -569,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv) -> tuple:
     """(COMMANDS label, the flags given by dest).  Refuses a flag the
-    label does not take, whether the parser knows it or not, and sweep
-    bounds out of order."""
+    label does not take, whether the parser knows it or not."""
     args, extras = build_parser().parse_known_args(argv)
     given = vars(args)
     command = given.pop("command")
@@ -582,11 +593,6 @@ def _parse(argv) -> tuple:
     if refused:
         raise ConfigError(refused[0],
                           f"slowgyro {label} does not read {refused[0]}")
-    sweep = inspect.signature(cmd_snr_sweep).parameters
-    s_min, s_max = (given.get(k, sweep[k].default) for k in ("s_min", "s_max"))
-    if s_max < s_min:
-        raise ConfigError("--s-max", f"must be >= --s-min "
-                          f"(got {s_max!r} < {s_min!r})")
     return label, given
 
 

@@ -3,8 +3,8 @@
 Everything is SI.  A three-level atom in a Lambda configuration (ground
 states |1>, |3>, excited state |2>) rides a ring of radius R while a probe
 beam propagates along the ring periphery and a control beam crosses it.
-The quantities derived here (recoil velocity, recoil frequency, momentum
-transfer parameter, light-matter coupling) feed every other module.
+The quantities derived here (recoil velocity, momentum-transfer parameter
+and the collective light-matter coupling) feed every other module.
 
 Nothing here is dimensionless beyond the momentum transfer eta and the
 input saturation s(0): tan^2(theta), xi and the loss kappa are derived
@@ -13,7 +13,7 @@ system.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._constants import c, epsilon_0, hbar
 from .errors import ParameterError
@@ -23,11 +23,10 @@ __all__ = [
     "ProbeControlFields",
     "RingGeometry",
     "DerivedScales",
-    "derive_recoil",
-    "coupling_constant",
+    "recoil_velocity",
+    "derived_scales",
     "dipole_from_gamma",
     "rest_energy_ratio",
-    "all_scales",
     "RB87",
     "NA23",
 ]
@@ -52,7 +51,6 @@ class AtomSpecies:
     gamma1: float          # 1/s, decay |2> -> |1>
     gamma3: float          # 1/s, decay |2> -> |3>
     gamma13: float = 0.0   # 1/s, ground-coherence dephasing
-    name: str = ""
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -146,45 +144,33 @@ class DerivedScales:
     """Derived single-atom and collective scales.
 
     g2rho is the collective coupling d^2 * omega_p * density / (2 hbar eps0),
-    i.e. the numerator of tan^2(theta).  Only this product is exposed, so the
+    i.e. the numerator of tan^2(theta).  Only this product is kept, so the
     per-atom normalization volume never enters any observable.
     """
 
-    v_rec: float       # m/s
-    omega_rec: float   # rad/s
-    eta: float         # dimensionless momentum-transfer parameter
-    g: float = field(default=float("nan"))      # rad/s per sqrt(atom)
-    g2rho: float = field(default=float("nan"))  # (rad/s)^2
+    v_rec: float   # m/s
+    eta: float     # dimensionless momentum-transfer parameter
+    g2rho: float   # (rad/s)^2
 
 
-def derive_recoil(atom: AtomSpecies, fields: ProbeControlFields) -> DerivedScales:
-    """Recoil velocity, recoil frequency and momentum-transfer parameter.
+def recoil_velocity(atom: AtomSpecies, lambda_p: float) -> float:
+    """Recoil velocity v_rec = hbar k_p / m of one probe photon."""
+    return hbar * (2.0 * math.pi / lambda_p) / atom.mass
 
-    v_rec = hbar k_p / m, omega_rec = hbar k_p^2 / (2 m),
-    eta = (k_p - k_c_parallel) / k_p.
-    """
+
+def derived_scales(atom: AtomSpecies, fields: ProbeControlFields,
+                   geometry: RingGeometry) -> DerivedScales:
+    """v_rec, eta = (k_p - k_c_parallel) / k_p, and g2rho = g^2 F density,
+    with g = d12 * sqrt(omega_p / (2 hbar eps0 F)) the per-atom coupling
+    over the probe cross-section F: the combination that enters
+    tan^2(theta) = g2rho / |rabi_c|^2."""
     k_p = fields.k_p
-    return DerivedScales(
-        v_rec=hbar * k_p / atom.mass,
-        omega_rec=hbar * k_p**2 / (2.0 * atom.mass),
-        eta=(k_p - fields.k_c_parallel) / k_p,
-    )
-
-
-def coupling_constant(atom: AtomSpecies, fields: ProbeControlFields,
-                      geometry: RingGeometry) -> tuple[float, float]:
-    """Light-matter coupling g and the tan^2(theta) numerator g2rho.
-
-    g = d12 * sqrt(omega_p / (2 hbar eps0 F)) with F the probe cross-section.
-    g2rho = g^2 * F * density = d12^2 omega_p density / (2 hbar eps0), the
-    combination that enters tan^2(theta) = g2rho / |rabi_c|^2.
-    """
-    if geometry.cross_section <= 0:
-        raise ParameterError("cross_section must be positive")
     g = atom.dipole_p * math.sqrt(
         fields.omega_p / (2.0 * hbar * epsilon_0 * geometry.cross_section))
-    g2rho = g * g * geometry.cross_section * geometry.atom_density
-    return g, g2rho
+    return DerivedScales(
+        v_rec=recoil_velocity(atom, fields.lambda_p),
+        eta=(k_p - fields.k_c_parallel) / k_p,
+        g2rho=g * g * geometry.cross_section * geometry.atom_density)
 
 
 def dipole_from_gamma(gamma: float, omega_p: float) -> float:
@@ -204,15 +190,6 @@ def rest_energy_ratio(atom: AtomSpecies, fields: ProbeControlFields) -> float:
     return atom.mass * c**2 / (hbar * fields.omega_p)
 
 
-def all_scales(atom: AtomSpecies, fields: ProbeControlFields,
-               geometry: RingGeometry) -> DerivedScales:
-    """Complete DerivedScales bundle (kinematics plus coupling)."""
-    kin = derive_recoil(atom, fields)
-    g, g2rho = coupling_constant(atom, fields, geometry)
-    return DerivedScales(v_rec=kin.v_rec, omega_rec=kin.omega_rec,
-                         eta=kin.eta, g=g, g2rho=g2rho)
-
-
 # Reference probe lines (D2) of the species presets.
 REFERENCE_WAVELENGTHS = {"rb87": 780.24e-9, "na23": 589.0e-9}
 
@@ -227,7 +204,6 @@ def _species(name, mass, gamma_rad, gamma13):
         gamma1=gamma_rad,
         gamma3=gamma_rad,
         gamma13=gamma13,
-        name=name,
     )
 
 

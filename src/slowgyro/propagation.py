@@ -32,7 +32,7 @@ propagate_allorder and frozen_phases each pass through it once, and
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from ._constants import c, epsilon_0, hbar
 from .errors import (EITConditionWarning, IntegrationError, ParameterError,
                      WeakFieldWarning)
 from .params import (RB87, REFERENCE_WAVELENGTHS, RING_PRESETS, AtomSpecies,
-                     ProbeControlFields, RingGeometry, all_scales)
+                     ProbeControlFields, RingGeometry, derived_scales,
+                     recoil_velocity)
 from .ringmodes import MediumPreparation, matter_term_gate
 
 __all__ = [
@@ -58,32 +59,33 @@ __all__ = [
 
 MAX_STEP_CHANGE = 0.1   # per-step |d ln|rabi_p|| above which the step fails
 _MAX_REFINE = 64        # refinement floor: give up past this many substeps
-_GUPTA = RING_PRESETS["gupta"]  # from_dimensionless's default ring
+_GUPTA = RING_PRESETS["gupta"]  # from_dimensionless's ring
 
 
 @dataclass(frozen=True)
 class PropagationGrid:
-    """Uniform sample points along the medium, x in [0, L_M]."""
+    """n_points uniform sample points along the medium, x in [0, length]."""
 
+    length: float
     n_points: int
-    x: np.ndarray
 
     def __post_init__(self):
+        if self.length <= 0:
+            raise ParameterError("grid length must be positive")
         if self.n_points < 64:
             raise ParameterError(f"n_points must be >= 64, got {self.n_points}")
-        dx = np.diff(self.x)
-        if dx.size == 0 or not np.allclose(dx, dx[0], rtol=1e-9, atol=0.0):
-            raise ParameterError("grid spacing must be uniform")
 
     @classmethod
-    def uniform(cls, length: float, n_points: int = 256) -> "PropagationGrid":
-        if length <= 0:
-            raise ParameterError("grid length must be positive")
-        return cls(n_points=n_points, x=np.linspace(0.0, length, n_points))
+    def uniform(cls, length: float, n_points: int) -> "PropagationGrid":
+        return cls(length, n_points)
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.linspace(0.0, self.length, self.n_points)
 
     @property
     def spacing(self) -> float:
-        return float(self.x[1] - self.x[0])
+        return self.length / (self.n_points - 1)
 
 
 class RingMedium:
@@ -101,8 +103,8 @@ class RingMedium:
       kappa / ((1+s)^2 * beta), beta = 1 + (1/xi) / (1+s)^3, so it
       overstates the loss by the factor (1+s)^2 * beta, about 1.78 at the
       SNR optimum's s = 1/3;
-    * loss_parameter a = gamma13 * L_M / v_rec and the momentum-transfer
-      parameter eta.
+    * loss_parameter a = gamma13 * L_M / v_rec.  v_rec and the
+      momentum-transfer parameter eta are in `scales`.
     """
 
     def __init__(self, atom: AtomSpecies, fields: ProbeControlFields,
@@ -110,15 +112,11 @@ class RingMedium:
         self.atom = atom
         self.fields = fields
         self.geometry = geometry
-        self.scales = all_scales(atom, fields, geometry)
+        self.scales = derived_scales(atom, fields, geometry)
         self.tan2_theta = self.scales.g2rho / fields.rabi_c**2
         self.xi = (math.inf if self.tan2_theta == 0.0
                    else c / (self.scales.v_rec * self.tan2_theta))
         self.kappa = atom.gamma13 * self.tan2_theta / c
-
-    @property
-    def eta(self) -> float:
-        return self.scales.eta
 
     @property
     def loss_parameter(self) -> float:
@@ -127,41 +125,32 @@ class RingMedium:
 
     @classmethod
     def from_dimensionless(cls, a: float, xi: float, s0: float,
-                           rotation_rate: float = 0.0,
-                           radius: float = _GUPTA["radius"],
-                           medium_length: float | None = None,
-                           rabi_c: float = 1.0e6,
-                           atom: AtomSpecies = RB87,
-                           cross_section: float = _GUPTA["cross_section"]
-                           ) -> "RingMedium":
-        """Medium realizing prescribed (a, xi, s0) on a physical backbone
-        (by default the gupta ring's radius and cross-section).
+                           rotation_rate: float = 0.0) -> "RingMedium":
+        """Rb-87 medium on the gupta ring (full ring, its radius and
+        cross-section, control Rabi frequency 1e6 rad/s) realizing
+        prescribed (a, xi, s0).
 
         Chooses the atomic density to hit xi and the ground-coherence
         dephasing to hit a, keeping every stored quantity SI.
         """
-        if medium_length is None:
-            medium_length = 2.0 * math.pi * radius
-        lambda_p = REFERENCE_WAVELENGTHS.get(atom.name,
-                                             REFERENCE_WAVELENGTHS["rb87"])
-        probe = ProbeControlFields(lambda_p=lambda_p,
+        radius = _GUPTA["radius"]
+        rabi_c = 1.0e6
+        medium_length = 2.0 * math.pi * radius
+        probe = ProbeControlFields(lambda_p=REFERENCE_WAVELENGTHS["rb87"],
                                    rabi_p0=math.sqrt(s0) * rabi_c,
                                    rabi_c=rabi_c)
-        v_rec = hbar * probe.k_p / atom.mass
+        v_rec = recoil_velocity(RB87, probe.lambda_p)
         if xi <= 0 or math.isinf(xi):
             density = 0.0
         else:
             tan2 = c / (v_rec * xi)
             density = (tan2 * rabi_c**2 * 2.0 * hbar * epsilon_0
-                       / (atom.dipole_p**2 * probe.omega_p))
-        gamma13 = a * v_rec / medium_length
-        atom_a = AtomSpecies(mass=atom.mass, dipole_p=atom.dipole_p,
-                             gamma1=atom.gamma1, gamma3=atom.gamma3,
-                             gamma13=gamma13, name=atom.name)
+                       / (RB87.dipole_p**2 * probe.omega_p))
+        atom = replace(RB87, gamma13=a * v_rec / medium_length)
         geom = RingGeometry(radius=radius, medium_length=medium_length,
-                            cross_section=cross_section, atom_density=density,
-                            rotation_rate=rotation_rate)
-        return cls(atom_a, probe, geom)
+                            cross_section=_GUPTA["cross_section"],
+                            atom_density=density, rotation_rate=rotation_rate)
+        return cls(atom, probe, geom)
 
 
 @dataclass
@@ -196,10 +185,10 @@ def check_validity(medium: RingMedium, prep: MediumPreparation, mode: str):
     or rabi_c^2 < 100 gamma13 gamma1 (EITConditionWarning), for xi < 1,
     beyond the critical mixing angle (UserWarning), and in weak mode for
     s(0) > 0.01 (WeakFieldWarning)."""
-    if mode != "weak" and abs(medium.eta - 1.0) > 1e-9:
+    if mode != "weak" and abs(medium.scales.eta - 1.0) > 1e-9:
         raise ParameterError(
             f"the {mode} model requires eta = 1 (perpendicular control), "
-            f"got eta = {medium.eta}")
+            f"got eta = {medium.scales.eta}")
     if mode == "sensitivity" and matter_term_gate(prep) == 0.0:
         raise ParameterError(
             f"preparation {prep.kind.value} gates the matter term to zero; "
@@ -236,7 +225,7 @@ def _phase_rates(medium: RingMedium, s, gate: float, rotation_rate: float):
     values, valid at any momentum transfer eta.
     """
     pref = medium.fields.k_p * rotation_rate * medium.geometry.radius / c
-    eta = medium.eta
+    eta = medium.scales.eta
     t2 = medium.tan2_theta
     q = t2 * medium.scales.v_rec / c
     denom = 1.0 + eta * q / (1.0 + s) ** 3
@@ -269,6 +258,7 @@ def _uniform_result(medium: RingMedium, grid: PropagationGrid, gate: float,
     beam = light + matter
     phase_cw = beam if direction == 1 else -beam
     n = grid.n_points
+    x = grid.x
     length = medium.geometry.medium_length
     return PropagationResult(
         phase_cw=phase_cw, phase_ccw=-phase_cw,
@@ -276,9 +266,9 @@ def _uniform_result(medium: RingMedium, grid: PropagationGrid, gate: float,
         delta_phi_sig=2.0 * phase_cw,
         light_part=light, matter_part=matter,
         s_profile=np.full(n, s0), xi_profile=np.full(n, medium.xi),
-        x=grid.x.copy(),
-        phase_profile=beam * (grid.x / length),
-        amplitude_profile=np.exp(-kappa * grid.x),
+        x=x,
+        phase_profile=beam * (x / length),
+        amplitude_profile=np.exp(-kappa * x),
         diagnostics={"mode": mode, "gate": gate},
     )
 
@@ -419,7 +409,7 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
         delta_phi_sig=2.0 * phase_cw,
         light_part=light, matter_part=matter,
         s_profile=s_profile, xi_profile=np.full(grid.n_points, medium.xi),
-        x=grid.x.copy(),
+        x=grid.x,
         phase_profile=(y_sel.imag - y_sel.imag[0]),
         amplitude_profile=amp,
         diagnostics={"mode": "allorder", "gate": gate,

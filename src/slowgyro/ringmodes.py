@@ -31,8 +31,6 @@ from .errors import ParameterError, ThermalRegimeWarning
 __all__ = [
     "Preparation",
     "MediumPreparation",
-    "mode_energy",
-    "n_min",
     "thermal_phase",
     "boltzmann_mean_winding",
     "matter_term_gate",
@@ -58,49 +56,35 @@ class MediumPreparation:
             raise ParameterError("thermal ring preparation needs temperature > 0")
 
 
-def mode_energy(n, rotation_rate: float, radius: float, mass: float):
-    """Energy of winding number n in the rotating frame:
-    n*hbar*Omega + n^2 hbar^2 / (2 m R^2).  n may be a scalar or an
-    array."""
-    if radius <= 0 or mass <= 0:
-        raise ParameterError("radius and mass must be positive")
-    return n * hbar * rotation_rate + n * n * hbar**2 / (2.0 * mass * radius**2)
-
-
-def n_min(rotation_rate: float, radius: float, mass: float) -> float:
-    """Continuous minimizer of the mode-energy parabola, -m*Omega*R^2/hbar."""
-    if radius <= 0 or mass <= 0:
-        raise ParameterError("radius and mass must be positive")
-    return -mass * rotation_rate * radius**2 / hbar
-
-
 def boltzmann_mean_winding(rotation_rate: float, radius: float, mass: float,
-                           temperature: float, n_cut: int = 0) -> float:
-    """Thermal average <n> over the winding-number ladder.
+                           temperature: float) -> float:
+    """Thermal average <n> over the winding-number ladder, whose mode
+    energies eps_n = n*hbar*Omega + n^2 hbar^2 / (2 m R^2) form a parabola
+    with its minimum at n_0 = -m*Omega*R^2/hbar.
 
-    Direct Boltzmann sum; the window is widened until the discarded tails are
-    below 1e-15 of the running sums (or to +-n_cut when given explicitly).
-    Serves as the brute-force cross-check of the closed-form thermal phase.
+    Direct Boltzmann sum around n_0; the window is widened until the
+    discarded tails are below 1e-15 of the running sums.  Serves as the
+    brute-force cross-check of the closed-form thermal phase, and far
+    below the level spacing it returns the ground winding number.
     """
     if temperature <= 0:
         raise ParameterError("temperature must be positive")
+    if radius <= 0 or mass <= 0:
+        raise ParameterError("radius and mass must be positive")
     kT = k_B * temperature
-    center = n_min(rotation_rate, radius, mass)
+    center = -mass * rotation_rate * radius**2 / hbar
     # Gaussian width of the Boltzmann weight in winding number
     sigma = math.sqrt(kT * mass * radius**2) / hbar
-    if n_cut <= 0:
-        half = max(10, int(math.ceil(12.0 * sigma)))
-    else:
-        half = n_cut
+    half = max(10, int(math.ceil(12.0 * sigma)))
     while True:
         n = np.arange(math.floor(center) - half, math.floor(center) + half + 1,
                       dtype=float)
-        energy = mode_energy(n, rotation_rate, radius, mass)
+        energy = (n * hbar * rotation_rate
+                  + n * n * hbar**2 / (2.0 * mass * radius**2))
         energy -= energy.min()
         w = np.exp(-energy / kT)
         total = w.sum()
-        tail = w[0] + w[-1]
-        if n_cut > 0 or tail <= 1e-15 * total or half > 10**7:
+        if w[0] + w[-1] <= 1e-15 * total or half > 10**7:
             return float((n * w).sum() / total)
         half *= 2
 
@@ -108,7 +92,8 @@ def boltzmann_mean_winding(rotation_rate: float, radius: float, mass: float,
 def thermal_phase(rotation_rate: float, radius: float, mass: float,
                   temperature: float) -> float:
     """Average rotational phase of a thermal ring gas per round trip,
-    2*pi*Omega*R^2 / (hbar/m) = -2*pi*n_min.
+    2*pi*Omega*R^2 / (hbar/m) = -2*pi*n_0, with n_0 the minimum of the
+    mode-energy parabola (see boltzmann_mean_winding).
 
     Valid when k_B T is large against both hbar*Omega and the level spacing
     hbar^2/(2 m R^2); warns otherwise.  Use boltzmann_mean_winding for the

@@ -38,7 +38,7 @@ import numpy as np
 from ._constants import hbar
 from .errors import BoundaryHitError, LowCountWarning, ParameterError
 from .params import (REFERENCE_WAVELENGTHS, RING_PRESETS, SPECIES_PRESETS,
-                     ProbeControlFields, RingGeometry, derive_recoil)
+                     RingGeometry, recoil_velocity)
 
 __all__ = [
     "detector_photons",
@@ -266,9 +266,7 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
                             atom_density=ring["density"])
     atom = SPECIES_PRESETS[species]
     lambda_p = REFERENCE_WAVELENGTHS[species]
-    v_rec = derive_recoil(atom, ProbeControlFields(lambda_p=lambda_p,
-                                                   rabi_p0=0.0,
-                                                   rabi_c=1.0)).v_rec
+    v_rec = recoil_velocity(atom, lambda_p)
     report = sensitivity_budget(geometry, v_rec, t, a, atom.mass,
                                 area_convention)
     report.assumptions[:0] = [

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,7 +23,7 @@ from slowgyro import sensitivity
 from slowgyro.cli import (ATOM_PRESETS, COMMANDS, GEOMETRY_PRESETS,
                           KEY_SPECS, build_parser, cmd_snr_sweep, main,
                           normalize_config, read_config)
-from slowgyro.errors import LowCountWarning
+from slowgyro.errors import ConfigError, LowCountWarning
 from slowgyro.propagation import frozen_phases
 from slowgyro.ringmodes import Preparation
 
@@ -285,6 +287,16 @@ class TestSnrSweep:
         path = write_config(tmp_path, {"geometry.atom_density_per_m3": 0.0})
         code, _, err = run(["snr-sweep", "--config", path], capsys)
         assert code == 1
+
+    def test_direct_call_refuses_bounds_under_their_flag(self):
+        # the runner holds the one check of the bounds, so a direct caller
+        # gets the parser's words
+        buf = io.StringIO()
+        with pytest.raises(ConfigError) as err:
+            cmd_snr_sweep(normalize_config({}), buf, s_min=5, s_max=1)
+        assert err.value.key == "--s-max"
+        assert str(err.value) == "--s-max: must be >= --s-min (got 1 < 5)"
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("bound", [("--s-min", "nan"), ("--s-max", "inf"),
                                        ("--s-min=-inf",), ("--s-max", "nan")])
@@ -776,6 +788,20 @@ class TestValidityDomain:
             assert out == ""
             assert "eta" in err
 
+    @pytest.mark.parametrize("command", ["snr-sweep", "omega-min"])
+    @pytest.mark.parametrize("key", ["geometry.atom_density_per_m3",
+                                     "atom.dipole_p_Cm"])
+    def test_uncoupled_medium_refused_naming_the_zero_key(
+            self, tmp_path, capsys, command, key):
+        # either zero makes g2rho = 0: no coupling, so no signal to sense
+        path = write_config(tmp_path, {key: 0.0})
+        code, out, err = run([command, "--config", path], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"config error: {key}: the probe does not couple to "
+                       "the medium (g2rho = 0), so there is no signal to "
+                       "sense\n")
+
     @pytest.mark.parametrize("prep", [
         {"preparation.kind": "thermal_ring", "preparation.temperature_K": 1e-6},
         {"preparation.kind": "longitudinal_trap"}])
@@ -823,6 +849,14 @@ def test_propagation_import_loads_no_command_layer():
     assert "slowgyro.sensitivity" not in loaded
     assert "slowgyro.cli" not in loaded
     assert "slowgyro.bloch" not in loaded
+
+
+def test_every_exported_name_exists():
+    for info in pkgutil.iter_modules(slowgyro.__path__):
+        module = importlib.import_module(f"slowgyro.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], info.name
 
 
 class TestModelDomainWarnings:

@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 from scipy.constants import c, hbar
 
 from _oracles import gamma_from_dipole
+from slowgyro._constants import epsilon_0  # CODATA 2022, as the package
 from slowgyro.errors import ParameterError
 from slowgyro.params import (NA23, RB87, AtomSpecies, ProbeControlFields,
-                             RingGeometry, all_scales, coupling_constant,
-                             derive_recoil, dipole_from_gamma,
-                             rest_energy_ratio)
+                             RingGeometry, derived_scales, dipole_from_gamma,
+                             recoil_velocity, rest_energy_ratio)
 
 
 def fields_for(lambda_p, rabi_p0=1e5, rabi_c=1e6, k_c_parallel=0.0):
@@ -21,30 +21,34 @@ GEOM = RingGeometry(radius=1.5e-3, medium_length=9e-3, cross_section=1e-6,
                     atom_density=1e20)
 
 
+def scales(atom, fields, geometry=GEOM):
+    return derived_scales(atom, fields, geometry)
+
+
 class TestRecoil:
     def test_rb87_recoil_velocity(self):
-        scales = derive_recoil(RB87, fields_for(780.24e-9))
-        assert scales.v_rec == pytest.approx(5.8844e-3, rel=1e-4)
+        v_rec = scales(RB87, fields_for(780.24e-9)).v_rec
+        assert v_rec == pytest.approx(5.8844e-3, rel=1e-4)
+        assert recoil_velocity(RB87, 780.24e-9) == v_rec
 
     def test_na23_recoil_velocity(self):
-        scales = derive_recoil(NA23, fields_for(589.0e-9))
-        assert scales.v_rec == pytest.approx(2.9468e-2, rel=1e-4)
+        v_rec = scales(NA23, fields_for(589.0e-9)).v_rec
+        assert v_rec == pytest.approx(2.9468e-2, rel=1e-4)
+        assert recoil_velocity(NA23, 589.0e-9) == v_rec
 
-    def test_recoil_frequency_definition(self):
-        fields = fields_for(780.24e-9)
-        scales = derive_recoil(RB87, fields)
+    def test_recoil_velocity_definition(self):
         k = 2 * math.pi / 780.24e-9
-        assert scales.omega_rec == pytest.approx(hbar * k**2 / (2 * RB87.mass), rel=1e-12)
-        assert scales.v_rec == pytest.approx(hbar * k / RB87.mass, rel=1e-12)
+        assert recoil_velocity(RB87, 780.24e-9) == \
+            pytest.approx(hbar * k / RB87.mass, rel=1e-12)
 
     def test_eta_zero_when_wavevectors_match(self):
         fields = fields_for(780.24e-9)
         fields = ProbeControlFields(lambda_p=780.24e-9, rabi_p0=1e5, rabi_c=1e6,
                                     k_c_parallel=fields.k_p)
-        assert derive_recoil(RB87, fields).eta == 0.0
+        assert scales(RB87, fields).eta == 0.0
 
     def test_eta_one_for_perpendicular_control(self):
-        assert derive_recoil(RB87, fields_for(780.24e-9)).eta == 1.0
+        assert scales(RB87, fields_for(780.24e-9)).eta == 1.0
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     def test_eta_scale_invariance(self, factor):
@@ -52,8 +56,8 @@ class TestRecoil:
                                   k_c_parallel=3e6)
         scaled = ProbeControlFields(lambda_p=780e-9 / factor, rabi_p0=1e5,
                                     rabi_c=1e6, k_c_parallel=3e6 * factor)
-        eta0 = derive_recoil(RB87, base).eta
-        eta1 = derive_recoil(RB87, scaled).eta
+        eta0 = scales(RB87, base).eta
+        eta1 = scales(RB87, scaled).eta
         assert eta1 == pytest.approx(eta0, rel=1e-12)
 
     def test_invalid_mass_rejected(self):
@@ -66,38 +70,27 @@ class TestRecoil:
 
 
 class TestCoupling:
-    def test_doubling_cross_section_scales_g(self):
-        fields = fields_for(780.24e-9)
-        g1, _ = coupling_constant(RB87, fields, GEOM)
-        geom2 = RingGeometry(radius=1.5e-3, medium_length=9e-3,
-                             cross_section=2e-6, atom_density=1e20)
-        g2, _ = coupling_constant(RB87, fields, geom2)
-        assert g2 == pytest.approx(g1 / math.sqrt(2.0), rel=1e-12)
-
     def test_zero_dipole_zero_coupling(self):
         atom = AtomSpecies(mass=RB87.mass, dipole_p=0.0, gamma1=1e7, gamma3=1e7)
-        g, g2rho = coupling_constant(atom, fields_for(780.24e-9), GEOM)
-        assert g == 0.0 and g2rho == 0.0
+        assert scales(atom, fields_for(780.24e-9)).g2rho == 0.0
 
     def test_g2rho_independent_of_cross_section(self):
         fields = fields_for(780.24e-9)
-        _, a = coupling_constant(RB87, fields, GEOM)
         geom2 = RingGeometry(radius=1.5e-3, medium_length=9e-3,
                              cross_section=7e-6, atom_density=1e20)
-        _, b = coupling_constant(RB87, fields, geom2)
-        assert b == pytest.approx(a, rel=1e-12)
+        assert scales(RB87, fields, geom2).g2rho == \
+            pytest.approx(scales(RB87, fields).g2rho, rel=1e-12)
 
     def test_round_trip_through_einstein_a(self):
         fields = fields_for(780.24e-9)
         gamma = 2 * math.pi * 6.07e6
         d = dipole_from_gamma(gamma, fields.omega_p)
         atom = AtomSpecies(mass=RB87.mass, dipole_p=d, gamma1=gamma, gamma3=gamma)
-        g, _ = coupling_constant(atom, fields, GEOM)
         d_back = dipole_from_gamma(gamma_from_dipole(d, fields.omega_p), fields.omega_p)
-        g_back, _ = coupling_constant(
-            AtomSpecies(mass=RB87.mass, dipole_p=d_back, gamma1=gamma, gamma3=gamma),
-            fields, GEOM)
-        assert g_back == pytest.approx(g, rel=1e-12)
+        back = AtomSpecies(mass=RB87.mass, dipole_p=d_back, gamma1=gamma,
+                           gamma3=gamma)
+        assert scales(back, fields).g2rho == \
+            pytest.approx(scales(atom, fields).g2rho, rel=1e-12)
 
 
 class TestEinsteinA:
@@ -165,9 +158,11 @@ class TestGeometry:
 
 def test_dimensional_consistency_of_all_scales():
     fields = fields_for(780.24e-9)
-    scales = all_scales(RB87, fields, GEOM)
+    derived = scales(RB87, fields)
     k = fields.k_p
     assert fields.omega_p == pytest.approx(c * k, rel=1e-12)
-    assert scales.v_rec == pytest.approx(hbar * k / RB87.mass, rel=1e-12)
-    assert scales.g2rho == pytest.approx(scales.g**2 * GEOM.cross_section
-                                         * GEOM.atom_density, rel=1e-12)
+    assert derived.v_rec == pytest.approx(hbar * k / RB87.mass, rel=1e-12)
+    # g2rho = d^2 omega_p rho / (2 hbar eps0), free of the cross-section
+    assert derived.g2rho == pytest.approx(
+        RB87.dipole_p**2 * fields.omega_p * GEOM.atom_density
+        / (2 * hbar * epsilon_0), rel=1e-12)

@@ -43,7 +43,7 @@ def medium_with(tan2, rabi_c=1e6, rabi_p0=0.0, gamma13=1e2, omega=1e-4,
                                 rabi_c=rabi_c, k_c_parallel=k_c_parallel)
     atom = AtomSpecies(mass=RB87.mass, dipole_p=RB87.dipole_p,
                        gamma1=RB87.gamma1, gamma3=RB87.gamma3,
-                       gamma13=gamma13, name="rb87")
+                       gamma13=gamma13)
     density = tan2 * rabi_c**2 * 2 * hbar * epsilon_0 / (
         RB87.dipole_p**2 * c * K_P)
     geometry = RingGeometry(radius=RADIUS, medium_length=LENGTH,
@@ -268,7 +268,7 @@ class TestPolaritonState:
         cos2 = 1.0 / (1.0 + medium.tan2_theta)
         assert light == pytest.approx(
             K_P * 1e-4 * RADIUS * LENGTH * cos2
-            / v_gr(medium.tan2_theta, medium.eta), rel=1e-12)
+            / v_gr(medium.tan2_theta, medium.scales.eta), rel=1e-12)
 
     def test_kappa_is_bound(self):
         medium = medium_with(5e7, gamma13=1e3)

@@ -8,86 +8,99 @@ from slowgyro.errors import ParameterError, ThermalRegimeWarning
 from slowgyro.params import RB87
 from slowgyro.ringmodes import (MediumPreparation, Preparation,
                                 boltzmann_mean_winding, matter_term_gate,
-                                mode_energy, n_min, thermal_phase)
+                                thermal_phase)
 
 MASS = RB87.mass
 EARTH = 7.29e-5
 
 
+def n_min(omega, radius):
+    """Minimum of the mode-energy parabola, -m*Omega*R^2/hbar, read off the
+    closed-form thermal phase -2*pi*n_min."""
+    return -thermal_phase(omega, radius, MASS, 1e-6) / (2 * math.pi)
+
+
+def ground_winding(omega, radius):
+    """Mean winding number at 1% of the level spacing hbar^2/(2 m R^2),
+    where the Boltzmann weight sits on the lowest mode."""
+    spacing = hbar**2 / (2 * MASS * radius**2)
+    return boltzmann_mean_winding(omega, radius, MASS, 1e-2 * spacing / k_B)
+
+
 class TestModeEnergy:
+    """The ladder eps_n = n*hbar*Omega + n^2 hbar^2/(2 m R^2) that
+    boltzmann_mean_winding sums."""
+
     def test_zero_winding(self):
-        assert mode_energy(0, 1e-3, 1.5e-3, MASS) == 0.0
+        # without rotation n = 0 is the lowest mode
+        assert ground_winding(0.0, 1.5e-3) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_kinetic_term(self):
+        # at hbar*Omega = hbar^2/(2 m R^2) the kinetic energy of n = -1
+        # cancels its rotational term: modes 0 and -1 share the population
         radius = 1.5e-3
-        assert mode_energy(1, 0.0, radius, MASS) == \
-            pytest.approx(hbar**2 / (2 * MASS * radius**2), rel=1e-12)
+        omega = hbar / (2 * MASS * radius**2)
+        assert ground_winding(omega, radius) == pytest.approx(-0.5, abs=1e-9)
 
     def test_both_terms_n_minus_one(self):
-        # n = -1, R = 1.5 mm, Omega = 1e-3: rotational term -1.0546e-37 J,
-        # kinetic term +1.7124e-38 J
+        # R = 1.5 mm, Omega = 1e-3: rotational term -1.0546e-37 J and
+        # kinetic term +1.7124e-38 J at n = -1; a direct Boltzmann sum over
+        # those literal energies at k_B T = one kinetic unit
         radius, omega = 1.5e-3, 1e-3
-        value = mode_energy(-1, omega, radius, MASS)
-        assert value == pytest.approx(-1.0545718e-37 + 1.71244e-38, rel=1e-4)
+        n = np.arange(-40.0, 41.0)
+        energy = n * 1.0545718e-37 + n**2 * 1.71244e-38
+        w = np.exp(-(energy - energy.min()) / 1.71244e-38)
+        oracle = float((n * w).sum() / w.sum())
+        mean = boltzmann_mean_winding(omega, radius, MASS, 1.71244e-38 / k_B)
+        assert mean == pytest.approx(oracle, rel=1e-4)
 
     def test_invalid_inputs(self):
         with pytest.raises(ParameterError):
-            mode_energy(1, 0.0, -1.0, MASS)
-
-    def test_ring_mode_carries_its_energy(self):
-        # an array of winding numbers gets each mode's own energy, bit for
-        # bit (the Boltzmann ladder evaluates it that way)
-        modes = np.arange(-240.0, -219.0)
-        energies = mode_energy(modes, EARTH, 48e-3, MASS)
-        assert energies.tolist() == [mode_energy(n, EARTH, 48e-3, MASS)
-                                     for n in modes.tolist()]
+            boltzmann_mean_winding(0.0, -1.0, MASS, 1e-6)
+        with pytest.raises(ParameterError):
+            boltzmann_mean_winding(0.0, 1.5e-3, -MASS, 1e-6)
 
 
 class TestNMin:
     def test_zero_rotation(self):
-        assert n_min(0.0, 48e-3, MASS) == 0.0
+        assert n_min(0.0, 48e-3) == 0.0
 
     def test_earth_rotation_48mm_ring(self):
-        assert n_min(EARTH, 48e-3, MASS) == pytest.approx(-229.858, rel=1e-4)
+        assert n_min(EARTH, 48e-3) == pytest.approx(-229.858, rel=1e-4)
 
     @pytest.mark.parametrize("omega", [1e-6, 3.7e-4, 1e-2])
     def test_odd_in_rotation(self, omega):
-        assert n_min(-omega, 48e-3, MASS) == -n_min(omega, 48e-3, MASS)
-
-
-def ground_winding(omega, radius):
-    """Integer winding number of lowest mode energy, found by a scan of
-    mode_energy around n_min."""
-    nm = n_min(omega, radius, MASS)
-    candidates = range(math.floor(nm) - 3, math.ceil(nm) + 4)
-    return min(candidates, key=lambda n: mode_energy(n, omega, radius, MASS))
+        assert n_min(-omega, 48e-3) == -n_min(omega, 48e-3)
 
 
 class TestGroundMode:
-    """The mode-energy parabola has its integer minimum at the integer
-    nearest n_min."""
+    """Far below the level spacing the Boltzmann mean sits on the integer
+    nearest n_min, the lowest point of the mode-energy ladder."""
 
     def test_zero_while_nmin_below_half(self):
         # pick Omega so |n_min| = 0.3
         radius = 48e-3
         omega = 0.3 * hbar / (MASS * radius**2)
-        assert abs(n_min(omega, radius, MASS)) == pytest.approx(0.3, rel=1e-12)
-        assert ground_winding(omega, radius) == 0
+        assert abs(n_min(omega, radius)) == pytest.approx(0.3, rel=1e-12)
+        assert ground_winding(omega, radius) == pytest.approx(0.0, abs=1e-9)
 
     def test_rounds_to_nearest_integer(self):
-        assert ground_winding(EARTH, 48e-3) == -230
-        assert round(n_min(EARTH, 48e-3, MASS)) == -230
+        assert ground_winding(EARTH, 48e-3) == pytest.approx(-230, abs=1e-9)
+        assert round(n_min(EARTH, 48e-3)) == -230
 
     def test_scan_confirms_minimum(self):
-        radius = 48e-3
-        nm = n_min(EARTH, radius, MASS)
-        e_best = mode_energy(round(nm), EARTH, radius, MASS)
-        for n in range(math.floor(nm) - 3, math.ceil(nm) + 4):
-            assert e_best <= mode_energy(n, EARTH, radius, MASS) + 1e-60
+        # rates whose n_min stays at least 0.1 from a half-integer tie
+        for omega in np.linspace(1e-5, 1e-3, 40):
+            nm = n_min(omega, 48e-3)
+            if abs(nm - math.floor(nm) - 0.5) < 0.1:
+                continue
+            assert ground_winding(omega, 48e-3) == \
+                pytest.approx(round(nm), abs=1e-9)
 
     @pytest.mark.parametrize("omega", [1e-5, EARTH, 9e-4])
     def test_antisymmetric_away_from_ties(self, omega):
-        assert ground_winding(-omega, 48e-3) == -ground_winding(omega, 48e-3)
+        assert ground_winding(-omega, 48e-3) == \
+            pytest.approx(-ground_winding(omega, 48e-3), abs=1e-9)
 
 
 class TestThermalPhase:
@@ -97,8 +110,8 @@ class TestThermalPhase:
     def test_earth_value(self):
         phase = thermal_phase(EARTH, 48e-3, MASS, 1e-6)
         assert phase == pytest.approx(1444.24, rel=1e-4)
-        assert phase == pytest.approx(-2 * math.pi * n_min(EARTH, 48e-3, MASS),
-                                      rel=1e-12)
+        assert phase == pytest.approx(
+            2 * math.pi * EARTH * (48e-3) ** 2 * MASS / hbar, rel=1e-12)
 
     def test_warns_when_too_cold(self):
         radius = 48e-3
@@ -134,7 +147,7 @@ class TestThermalPhase:
     def test_boltzmann_mean_converges_monotonically(self):
         radius = 48e-3
         spacing = hbar**2 / (2 * MASS * radius**2)
-        target = n_min(EARTH, radius, MASS)
+        target = n_min(EARTH, radius)
         errors = []
         for factor in (1.0, 10.0, 100.0, 1e4):
             mean = boltzmann_mean_winding(EARTH, radius, MASS,

@@ -90,9 +90,10 @@ class TestSnr:
         assert value == pytest.approx(0.1393 / math.sqrt(50.0), rel=0.01)
 
     def test_loss_parameter(self):
-        medium = RingMedium.from_dimensionless(a=1.0, xi=2.0, s0=0.1,
-                                               medium_length=9.42e-3)
-        expected = (medium.atom.gamma13 * 9.42e-3) / medium.scales.v_rec
+        medium = RingMedium.from_dimensionless(a=1.0, xi=2.0, s0=0.1)
+        length = medium.geometry.medium_length
+        assert length == 2 * math.pi * medium.geometry.radius  # full ring
+        expected = (medium.atom.gamma13 * length) / medium.scales.v_rec
         assert medium.loss_parameter == pytest.approx(expected, rel=1e-12)
         assert medium.loss_parameter == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(ParameterError):
