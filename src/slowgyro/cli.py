@@ -384,11 +384,9 @@ def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
     geometry = config.geometry
     xi = medium.xi
     s_values = np.geomspace(s_min, s_max, n_steps)
-    rabi_c = config.fields.rabi_c
-    rabi_p0 = np.sqrt(s_values) * rabi_c
+    rabi_p0 = np.sqrt(s_values) * config.fields.rabi_c
     # phases with s frozen at each row's input saturation
-    light, matter = frozen_phases(medium, config.preparation,
-                                  (rabi_p0 / rabi_c) ** 2)
+    light, matter = frozen_phases(medium, config.preparation, s_values)
     root = np.sqrt(detector_photons(geometry.cross_section,
                                     geometry.atom_density, medium.scales.v_rec,
                                     config.detection_time, xi, s_values,

@@ -217,14 +217,15 @@ def bare_sagnac_phase(rotation_rate: float, radius: float, medium_length: float,
     return 4.0 * math.pi * rotation_rate * radius * medium_length / (lambda_p * c)
 
 
-def _phase_rates(medium: RingMedium, s, gate: float, rotation_rate: float):
+def _phase_rates(medium: RingMedium, s, gate: float):
     """Per-beam light and matter phase rates (rad/m) at saturation s.
 
     Written in terms of q = tan^2(theta) * v_rec / c = 1/xi so the vacuum
     limit (no medium) is regular.  The weak-field rates are the s = 0
     values, valid at any momentum transfer eta.
     """
-    pref = medium.fields.k_p * rotation_rate * medium.geometry.radius / c
+    pref = (medium.fields.k_p * medium.geometry.rotation_rate
+            * medium.geometry.radius / c)
     eta = medium.scales.eta
     t2 = medium.tan2_theta
     q = t2 * medium.scales.v_rec / c
@@ -240,8 +241,7 @@ def frozen_phases(medium: RingMedium, prep: MediumPreparation, s):
     times L_M.  s may be a scalar or an array.  Requires full momentum
     transfer (eta = 1), where the saturating rates hold."""
     check_validity(medium, prep, "saturating")
-    light_rate, matter_rate = _phase_rates(
-        medium, s, matter_term_gate(prep), medium.geometry.rotation_rate)
+    light_rate, matter_rate = _phase_rates(medium, s, matter_term_gate(prep))
     length = medium.geometry.medium_length
     return light_rate * length, matter_rate * length
 
@@ -288,8 +288,7 @@ def propagate_weak(medium: RingMedium, prep: MediumPreparation,
     s0 = medium.fields.saturation0
     gate = matter_term_gate(prep)
     length = medium.geometry.medium_length
-    phases = [rate * length for rate in
-              _phase_rates(medium, 0.0, gate, medium.geometry.rotation_rate)]
+    phases = [rate * length for rate in _phase_rates(medium, 0.0, gate)]
     return _uniform_result(medium, grid, gate, direction, phases, s0, 0.0,
                            "weak")
 
@@ -305,17 +304,11 @@ def _rhs(y, loss, pref, tan2, rc2, vrec_c, gate):
 def _rk4(y0, h, n_steps, loss, pref, tan2, rc2, vrec_c, gate):
     """Integrate d/dx ln(rabi_p) = -loss + i*k_p*chi'(s) over n_steps of
     size h with fixed-step fourth-order Runge-Kutta, re-evaluating the
-    saturation s from the local amplitude.
-
-    Returns (log-amplitude samples at the n_steps+1 grid points,
-    largest per-step log-amplitude increment |h * Re dy/dx| seen).  The
-    phase increment is not counted: the right-hand side depends on y only
-    through its real part, so the phase never feeds back.
-    """
+    saturation s from the local amplitude.  Returns the log-amplitude
+    samples at the n_steps+1 grid points."""
     out = np.empty(n_steps + 1, dtype=complex)
     y = complex(y0)
     out[0] = y
-    max_step = 0.0
     for i in range(n_steps):
         k1 = _rhs(y, loss, pref, tan2, rc2, vrec_c, gate)
         k2 = _rhs(y + 0.5 * h * k1, loss, pref, tan2, rc2, vrec_c, gate)
@@ -323,50 +316,7 @@ def _rk4(y0, h, n_steps, loss, pref, tan2, rc2, vrec_c, gate):
         k4 = _rhs(y + h * k3, loss, pref, tan2, rc2, vrec_c, gate)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
-        step = abs(h * k1.real)
-        if step > max_step:
-            max_step = step
-    return out, max_step
-
-
-def _integrate_beam(medium: RingMedium, gate: float, rotation_rate: float,
-                    rabi_p0: float, grid: PropagationGrid):
-    """Run the kernel for one beam with automatic refinement and one
-    extra halving for the convergence certificate.  Returns the samples on
-    the grid points, the beam phase, its Richardson error estimate, the
-    largest per-step change and the number of kernel steps per grid cell."""
-    t2 = medium.tan2_theta
-    loss = medium.kappa
-    pref = medium.fields.k_p * rotation_rate * medium.geometry.radius / c
-    rc2 = medium.fields.rabi_c**2
-    vrec_c = medium.scales.v_rec / c
-    y0 = complex(math.log(rabi_p0), 0.0)
-    n_cells = grid.n_points - 1
-
-    refine = 1
-    while True:
-        h = grid.spacing / refine
-        y, max_step = _rk4(y0, h, n_cells * refine, loss, pref,
-                           t2, rc2, vrec_c, gate)
-        if max_step <= MAX_STEP_CHANGE:
-            break
-        refine *= 2
-        if refine > _MAX_REFINE:
-            raise IntegrationError(
-                f"per-step change {max_step:.3g} stays above "
-                f"{MAX_STEP_CHANGE} after refinement to {refine // 2} "
-                f"substeps per cell ({n_cells} cells)",
-                max_step=max_step, n_points=grid.n_points)
-
-    # one more halving for the Richardson comparison; keep the finer result
-    h2 = grid.spacing / (2 * refine)
-    y2, _ = _rk4(y0, h2, n_cells * 2 * refine, loss, pref,
-                 t2, rc2, vrec_c, gate)
-    coarse = float((y[-1] - y[0]).imag)
-    fine = float((y2[-1] - y2[0]).imag)
-    samples = y2[:: 2 * refine]
-    richardson = abs(fine - coarse) / 15.0
-    return samples, fine, richardson, max_step, 2 * refine
+    return out
 
 
 def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
@@ -375,10 +325,13 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     """Propagation with the saturating susceptibility re-evaluated at the
     local probe amplitude and the power-independent loss bound.
 
-    Fixed-step fourth-order integration with automatic substep refinement;
-    the per-step change must stay below 0.1 or an IntegrationError with
-    diagnostics is raised.  The result carries a Richardson convergence
-    estimate in diagnostics["richardson_phase"].  The kernel runs for the
+    Fixed-step fourth-order integration.  Re d ln(rabi_p)/dx = -kappa
+    everywhere, so a step of size h changes ln|rabi_p| by exactly kappa*h:
+    the substeps per grid cell are the smallest power of two that keeps
+    that change <= 0.1, decided before integrating.  Past 64 substeps, that
+    is kappa * grid.spacing > 6.4, an IntegrationError is raised instead.
+    The result carries a Richardson convergence estimate (one more
+    halving) in diagnostics["richardson_phase"].  The kernel runs for the
     co-propagating beam only; the counter-propagating one is its mirror
     (see the module docstring).  A zero probe keeps s = 0 along the whole
     medium, which is the exact solution; it is answered in closed form
@@ -392,16 +345,37 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
                                frozen_phases(medium, prep, 0.0), 0.0,
                                medium.kappa, "allorder")
     check_validity(medium, prep, "saturating")
-    omega = medium.geometry.rotation_rate
+    loss = medium.kappa
+    n_cells = grid.n_points - 1
+    refine = 1
+    while (grid.spacing / refine * loss > MAX_STEP_CHANGE
+           and refine < _MAX_REFINE):
+        refine *= 2
+    max_step = grid.spacing / refine * loss
+    if max_step > MAX_STEP_CHANGE:
+        raise IntegrationError(
+            f"per-step change {max_step:.3g} stays above {MAX_STEP_CHANGE} "
+            f"after refinement to {refine} substeps per cell "
+            f"({n_cells} cells)", max_step=max_step, n_points=grid.n_points)
 
-    y_cw, phase_cw, richardson, max_step, substeps = _integrate_beam(
-        medium, gate, omega, medium.fields.rabi_p0, grid)
+    # the run at `refine` and one more halving for the Richardson
+    # comparison; keep the finer result
+    pref = (medium.fields.k_p * medium.geometry.rotation_rate
+            * medium.geometry.radius / c)
+    coeffs = (loss, pref, medium.tan2_theta, medium.fields.rabi_c**2,
+              medium.scales.v_rec / c, gate)
+    y0 = complex(math.log(medium.fields.rabi_p0), 0.0)
+    coarse = _rk4(y0, grid.spacing / refine, n_cells * refine, *coeffs)
+    y_cw = _rk4(y0, grid.spacing / (2 * refine), n_cells * 2 * refine,
+                *coeffs)[:: 2 * refine]
+    phase_cw = float((y_cw[-1] - y_cw[0]).imag)
+    richardson = abs(phase_cw - float((coarse[-1] - coarse[0]).imag)) / 15.0
 
     y_sel = y_cw if direction == 1 else y_cw.conjugate()
     amp = np.exp(y_sel.real - y_sel.real[0])
     s_profile = np.exp(2.0 * y_sel.real) / medium.fields.rabi_c**2
-    light, matter = _split_phase(medium, gate, omega, s_profile, grid,
-                                 direction, substeps)
+    light, matter = _split_phase(medium, gate, s_profile, grid, direction,
+                                 2 * refine)
 
     return PropagationResult(
         phase_cw=phase_cw, phase_ccw=-phase_cw,
@@ -418,8 +392,7 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     )
 
 
-def _split_phase(medium, gate, rotation_rate, s_profile, grid, direction,
-                 substeps):
+def _split_phase(medium, gate, s_profile, grid, direction, substeps):
     """Light and matter phase integrals over s(x) by the rule the RK4 kernel
     applies to the beam phase: Simpson's rule with midpoints on each of
     `substeps` equal steps per grid cell.  ln s is linear in x, so s inside
@@ -430,7 +403,7 @@ def _split_phase(medium, gate, rotation_rate, s_profile, grid, direction,
     weights[1::2] = 4.0
     weights[2:-1:2] = 2.0
     scale = direction * grid.spacing / (6.0 * substeps)
-    light_rate, matter_rate = _phase_rates(medium, s, gate, rotation_rate)
+    light_rate, matter_rate = _phase_rates(medium, s, gate)
     return (scale * float(np.sum(light_rate @ weights)),
             scale * float(np.sum(matter_rate @ weights)))
 
@@ -445,7 +418,7 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
     return result
 
 
-def write_profile_csv(result: PropagationResult, out, rabi_p0: float = 1.0):
+def write_profile_csv(result: PropagationResult, out, rabi_p0: float):
     """Per-sample profile (x, |rabi_p|, phase, s, xi) as CSV, written to the
     text stream `out`."""
     import csv

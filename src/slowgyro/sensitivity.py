@@ -179,8 +179,6 @@ def omega_min(area: float, cross_section: float, density: float, v_rec: float,
     value f = 1/(g_max(a) sqrt(a)), so the SNR at Omega_min is exactly one
     for this a.
     """
-    if a <= 0:
-        raise ParameterError("omega_min arguments must be positive")
     return _omega_min_at(optimize_snr(a), area, cross_section, density,
                          v_rec, t, mass)
 

@@ -355,11 +355,11 @@ class TestSweepAgreesWithOtherCommands:
     the frozen-s signal phase, on random valid configs."""
 
     @staticmethod
-    def _sweep(config):
+    def _sweep(config, n_steps=25):
         buf = io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", LowCountWarning)
-            cmd_snr_sweep(config, buf, n_steps=25)
+            cmd_snr_sweep(config, buf, n_steps=n_steps)
         rows = list(csv.reader(buf.getvalue().splitlines()))
         return [[float(v) for v in row] for row in rows[1:]]
 
@@ -384,8 +384,7 @@ class TestSweepAgreesWithOtherCommands:
         medium, geo = config.medium(), config.geometry
         for rabi_p0, s, total, matter, light in self._sweep(config):
             light_phase, matter_phase = frozen_phases(
-                medium, config.preparation,
-                (rabi_p0 / config.fields.rabi_c) ** 2)
+                medium, config.preparation, s)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LowCountWarning)
                 root = math.sqrt(sensitivity.detector_photons(
@@ -397,6 +396,23 @@ class TestSweepAgreesWithOtherCommands:
                                (light, light_phase)):
                 assert got == pytest.approx(abs(phase) * root, rel=1e-15,
                                             abs=0.0)
+
+    def test_default_sweep_is_one_operating_point_per_row(self):
+        # the phases and the detector count of each row see the row's s
+        config = normalize_config({})
+        medium, geo = config.medium(), config.geometry
+        table = np.array(self._sweep(config, n_steps=200))
+        s = table[:, 1]
+        light, matter = frozen_phases(medium, config.preparation, s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LowCountWarning)
+            root = np.sqrt(sensitivity.detector_photons(
+                geo.cross_section, geo.atom_density, medium.scales.v_rec,
+                config.detection_time, medium.xi, s, medium.loss_parameter))
+        np.testing.assert_array_equal(
+            table[:, 2:], np.column_stack((np.abs(light + matter) * root,
+                                           np.abs(matter) * root,
+                                           np.abs(light) * root)))
 
 
 def _main(argv):

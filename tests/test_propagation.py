@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import c, hbar
 
+from slowgyro import propagation
 from slowgyro.errors import (EITConditionWarning, IntegrationError,
                              ParameterError, WeakFieldWarning)
 from slowgyro.params import RB87, ProbeControlFields, rest_energy_ratio
@@ -237,6 +238,17 @@ class TestAllOrder:
         assert err.value.max_step > 0.1
         assert err.value.n_points == 64
 
+    def test_step_failure_is_decided_before_integrating(self, monkeypatch):
+        def kernel_must_not_run(*args):
+            raise AssertionError("the kernel ran on a refused grid")
+
+        monkeypatch.setattr(propagation, "_rk4", kernel_must_not_run)
+        medium = medium_for(a=1e6, xi=0.5, s0=1e-4, omega=0.0)
+        with pytest.raises(IntegrationError, match="64 substeps per cell"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            propagate_allorder(medium, SUPERFLUID, grid_for(medium, 64))
+
 
 class TestSignalPhase:
     def test_zero_saturation_reduces_to_weak_split(self):
@@ -406,6 +418,37 @@ class TestKernelProperties:
         beam = res.phase_cw if direction == 1 else res.phase_ccw
         assert res.light_part + res.matter_part == \
             pytest.approx(beam, rel=1e-12, abs=0.0)
+
+
+class TestStepRule:
+    """Re d ln(rabi_p)/dx = -kappa, so a step of size h changes
+    ln|rabi_p| by kappa*h: the substeps per cell are the smallest power of
+    two r with kappa * spacing / r <= 0.1, and the grid is refused past
+    r = 64."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(min_value=0, max_value=7),
+           offset=st.floats(min_value=-1e-3, max_value=1e-3),
+           a=st.floats(min_value=1.0, max_value=1e3),
+           n=st.sampled_from([64, 128]))
+    def test_step_change_straddling_each_refinement(self, k, offset, a, n):
+        # kappa * L = a / xi, so this xi puts kappa * spacing at
+        # 0.1 * 2**k * (1 + offset)
+        medium = medium_for(a=a, xi=a / ((n - 1) * 0.1 * 2**k * (1 + offset)),
+                            s0=1e-3)
+        grid = grid_for(medium, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if grid.spacing / 64 * medium.kappa > 0.1:
+                with pytest.raises(IntegrationError) as err:
+                    propagate_allorder(medium, SUPERFLUID, grid)
+                assert err.value.max_step == grid.spacing / 64 * medium.kappa
+                return
+            res = propagate_allorder(medium, SUPERFLUID, grid)
+        r = 1
+        while grid.spacing / r * medium.kappa > 0.1:
+            r *= 2
+        assert res.diagnostics["max_step"] == grid.spacing / r * medium.kappa
 
 
 class TestProfiles:

@@ -234,6 +234,11 @@ class TestOmegaMin:
                     opt.xi_opt, a, NA23.mass)
         assert value == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_loss_parameter_is_named(self, a):
+        with pytest.raises(ParameterError, match="loss parameter a"):
+            omega_min(self.AREA, 1e-6, 1e20, V_REC_NA, 1.0, a, NA23.mass)
+
     def test_asymptotic_mode(self):
         exact = omega_min(self.AREA, 1e-6, 1e20, V_REC_NA, 1.0, 2.9, NA23.mass)
         # the same rate with the large-a prefactor in place of the exact one
