@@ -53,9 +53,9 @@ ATOM_PRESETS = {
            "fields.lambda_p_m": REFERENCE_WAVELENGTHS[name]}
     for name, species in SPECIES_PRESETS.items()}
 GEOMETRY_PRESETS = {
-    name: {"geometry.radius_m": ring["radius"],
-           "geometry.cross_section_m2": ring["cross_section"],
-           "geometry.atom_density_per_m3": ring["density"]}
+    name: {"geometry.radius_m": ring.radius,
+           "geometry.cross_section_m2": ring.cross_section,
+           "geometry.atom_density_per_m3": ring.atom_density}
     for name, ring in RING_PRESETS.items()}
 
 NOT_FINITE = "must be a finite number (got {!r})"
@@ -63,33 +63,36 @@ _POSITIVE = ("must be a positive number", lambda v: v > 0)
 _NONNEG = ("must be >= 0", lambda v: v >= 0)
 _GRID = ("must be an integer >= 64", lambda v: v >= 64)
 
-# key -> (python type, (message, predicate) or None, default or None);
-# every float must be finite.  Presets fill the keys without a default.
+# key -> (python type, (message, predicate) or None, default or None, the
+# field it sets in the AtomSpecies, ProbeControlFields or RingGeometry its
+# namespace builds, or None); every float must be finite.  Presets fill the
+# keys without a default.
 KEY_SPECS = {
-    "atom.preset": (str, None, "rb87"),
-    "atom.mass_kg": (float, _POSITIVE, None),
-    "atom.dipole_p_Cm": (float, _NONNEG, None),
-    "atom.gamma1_per_s": (float, _NONNEG, None),
-    "atom.gamma3_per_s": (float, _NONNEG, None),
-    "atom.gamma13_per_s": (float, _NONNEG, 1.0e3),
-    "fields.lambda_p_m": (float, _POSITIVE, None),
-    "fields.rabi_p0_rad_s": (float, _NONNEG, 1.0e8 * math.sqrt(1.0 / 3.0)),
-    "fields.rabi_c_rad_s": (float, _POSITIVE, 1.0e8),
-    "fields.k_c_parallel_per_m": (float, None, 0.0),
-    "fields.delta2_rad_s": (float, None, 0.0),
-    "fields.delta3_rad_s": (float, None, 0.0),
-    "geometry.preset": (str, None, "gupta"),
-    "geometry.radius_m": (float, _POSITIVE, None),
-    "geometry.medium_length_m": (float, _POSITIVE, None),
-    "geometry.cross_section_m2": (float, _POSITIVE, None),
-    "geometry.atom_density_per_m3": (float, _NONNEG, None),
-    "geometry.rotation_rate_rad_s": (float, None, 7.29e-5),
-    "preparation.kind": (str, None, "superfluid_ring"),
-    "preparation.temperature_K": (float, _NONNEG, 0.0),
-    "grid.n_points": (int, _GRID, 256),
-    "detection.time_s": (float, _POSITIVE, 1.0),
-    "output.path": (str, None, None),
-    "output.format": (str, None, None),
+    "atom.preset": (str, None, "rb87", None),
+    "atom.mass_kg": (float, _POSITIVE, None, "mass"),
+    "atom.dipole_p_Cm": (float, _NONNEG, None, "dipole_p"),
+    "atom.gamma1_per_s": (float, _NONNEG, None, "gamma1"),
+    "atom.gamma3_per_s": (float, _NONNEG, None, "gamma3"),
+    "atom.gamma13_per_s": (float, _NONNEG, 1.0e3, "gamma13"),
+    "fields.lambda_p_m": (float, _POSITIVE, None, "lambda_p"),
+    "fields.rabi_p0_rad_s": (float, _NONNEG, 1.0e8 * math.sqrt(1.0 / 3.0),
+                             "rabi_p0"),
+    "fields.rabi_c_rad_s": (float, _POSITIVE, 1.0e8, "rabi_c"),
+    "fields.k_c_parallel_per_m": (float, None, 0.0, "k_c_parallel"),
+    "fields.delta2_rad_s": (float, None, 0.0, "delta2"),
+    "fields.delta3_rad_s": (float, None, 0.0, "delta3"),
+    "geometry.preset": (str, None, "gupta", None),
+    "geometry.radius_m": (float, _POSITIVE, None, "radius"),
+    "geometry.medium_length_m": (float, _POSITIVE, None, "medium_length"),
+    "geometry.cross_section_m2": (float, _POSITIVE, None, "cross_section"),
+    "geometry.atom_density_per_m3": (float, _NONNEG, None, "atom_density"),
+    "geometry.rotation_rate_rad_s": (float, None, 7.29e-5, "rotation_rate"),
+    "preparation.kind": (str, None, "superfluid_ring", None),
+    "preparation.temperature_K": (float, _NONNEG, 0.0, None),
+    "grid.n_points": (int, _GRID, 256, None),
+    "detection.time_s": (float, _POSITIVE, 1.0, None),
+    "output.path": (str, None, None, None),
+    "output.format": (str, None, None, None),
 }
 DEFAULTS = {key: spec[2] for key, spec in KEY_SPECS.items()
             if spec[2] is not None}
@@ -191,7 +194,7 @@ def normalize_config(raw: dict) -> RunConfig:
 
     values = {}
     for key, value in work.items():
-        typ, check, _ = KEY_SPECS[key]
+        typ, check, _, _ = KEY_SPECS[key]
         try:
             values[key] = _checked(typ, check, value)
         except argparse.ArgumentTypeError as err:
@@ -205,32 +208,20 @@ def normalize_config(raw: dict) -> RunConfig:
                           f"unknown preparation {kind_name!r}; known: "
                           f"{[p.value for p in Preparation]}") from None
 
-    atom = _build("atom.*", AtomSpecies, mass=values["atom.mass_kg"],
-                  dipole_p=values["atom.dipole_p_Cm"],
-                  gamma1=values["atom.gamma1_per_s"],
-                  gamma3=values["atom.gamma3_per_s"],
-                  gamma13=values["atom.gamma13_per_s"])
-    fields_obj = _build("fields.*", ProbeControlFields,
-                        lambda_p=values["fields.lambda_p_m"],
-                        rabi_p0=values["fields.rabi_p0_rad_s"],
-                        rabi_c=values["fields.rabi_c_rad_s"],
-                        k_c_parallel=values["fields.k_c_parallel_per_m"],
-                        delta2=values["fields.delta2_rad_s"],
-                        delta3=values["fields.delta3_rad_s"])
-    geometry = _build("geometry.*", RingGeometry,
-                      radius=values["geometry.radius_m"],
-                      medium_length=values["geometry.medium_length_m"],
-                      cross_section=values["geometry.cross_section_m2"],
-                      atom_density=values["geometry.atom_density_per_m3"],
-                      rotation_rate=values["geometry.rotation_rate_rad_s"])
+    built = {
+        namespace: _build(f"{namespace}.*", cls, **{
+            name: values[key] for key, (_, _, _, name) in KEY_SPECS.items()
+            if name and key.startswith(f"{namespace}.")})
+        for namespace, cls in (("atom", AtomSpecies),
+                               ("fields", ProbeControlFields),
+                               ("geometry", RingGeometry))}
     preparation = _build("preparation.temperature_K", MediumPreparation,
                          kind=kind,
                          temperature=values["preparation.temperature_K"])
 
     echo = {k: values[k] for k in sorted(values)
             if k not in ("output.path", "output.format")}
-    return RunConfig(atom=atom, fields=fields_obj, geometry=geometry,
-                     preparation=preparation,
+    return RunConfig(**built, preparation=preparation,
                      grid_points=values["grid.n_points"],
                      detection_time=values["detection.time_s"],
                      echo=echo,
@@ -327,7 +318,7 @@ def _add_phase(env: ResultEnvelope, config: RunConfig, result, profile_out):
         "the counter-propagating differential")
     env.assumptions.append(
         f"preparation {config.preparation.kind.value}: matter term "
-        f"{'kept' if config.preparation.kind is Preparation.SUPERFLUID_RING else 'gated to zero'}")
+        f"{'kept' if result.diagnostics['gate'] else 'gated to zero'}")
     if profile_out is not None:
         write_profile_csv(result, profile_out, config.fields.rabi_p0)
 
@@ -419,10 +410,10 @@ STATE_OF_THE_ART = {
 def _add_budget(env: ResultEnvelope, report):
     """The sensitivity_budget both forms of omega-min report."""
     env.add("omega_min", report.omega_min, "rad/s/sqrt(Hz)")
-    env.add("s_opt", report.s_opt, "dimensionless")
-    env.add("xi_opt", report.xi_opt, "dimensionless")
-    env.add("g_max", report.g_max, "dimensionless")
-    env.add("f", report.f, "dimensionless")
+    env.add("s_opt", report.opt.s_opt, "dimensionless")
+    env.add("xi_opt", report.opt.xi_opt, "dimensionless")
+    env.add("g_max", report.opt.g_max, "dimensionless")
+    env.add("f", report.opt.f_estimate, "dimensionless")
     env.add("n_D", report.n_d, "quanta")
     env.add("delta_phi_noise", report.delta_phi_noise, "rad")
     env.add("snr_at_omega_min", report.snr, "dimensionless")

@@ -53,9 +53,12 @@ class AtomSpecies:
     gamma13: float = 0.0   # 1/s, ground-coherence dephasing
 
     def __post_init__(self):
-        if self.mass <= 0:
+        # each check is written so that NaN fails it
+        if not self.mass > 0:
             raise ParameterError(f"mass must be positive, got {self.mass}")
-        if self.gamma1 < 0 or self.gamma3 < 0 or self.gamma13 < 0:
+        if not self.dipole_p >= 0:
+            raise ParameterError(f"dipole_p must be >= 0, got {self.dipole_p}")
+        if not (self.gamma1 >= 0 and self.gamma3 >= 0 and self.gamma13 >= 0):
             raise ParameterError("decay and dephasing rates must be >= 0")
 
     @property
@@ -82,11 +85,11 @@ class ProbeControlFields:
     delta3: float = 0.0      # rad/s, two-photon detuning (recoil included)
 
     def __post_init__(self):
-        if self.lambda_p <= 0:
+        if not self.lambda_p > 0:
             raise ParameterError(f"probe wavelength must be positive, got {self.lambda_p}")
-        if self.rabi_c <= 0:
+        if not self.rabi_c > 0:
             raise ParameterError("control Rabi frequency must be positive (EIT needs a control field)")
-        if self.rabi_p0 < 0:
+        if not self.rabi_p0 >= 0:
             raise ParameterError("probe Rabi frequency magnitude must be >= 0")
 
     @property
@@ -115,7 +118,7 @@ class RingGeometry:
     rotation_rate: float = 0.0  # rad/s
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ParameterError(f"radius must be positive, got {self.radius}")
         circumference = 2.0 * math.pi * self.radius
         if not 0.0 < self.medium_length <= circumference * (1.0 + 1e-12):
@@ -123,11 +126,11 @@ class RingGeometry:
                 f"medium_length must lie in (0, 2*pi*R]; got {self.medium_length} "
                 f"with circumference {circumference:.6g}"
             )
-        if self.cross_section <= 0:
+        if not self.cross_section > 0:
             raise ParameterError("cross_section must be positive")
-        if self.atom_density < 0:
+        if not self.atom_density >= 0:
             raise ParameterError("atom_density must be >= 0")
-        if abs(self.rotation_rate) * self.radius / c > MAX_RIM_SPEED_FRACTION:
+        if not abs(self.rotation_rate) * self.radius / c <= MAX_RIM_SPEED_FRACTION:
             raise ParameterError(
                 "rim speed |rotation_rate|*radius exceeds 1e-3 c; "
                 "non-relativistic treatment no longer applies"
@@ -217,8 +220,9 @@ NA23 = _species("na23", mass=3.8176e-26, gamma_rad=2.0 * math.pi * 9.79e6,
 SPECIES_PRESETS = {"rb87": RB87, "na23": NA23}
 
 # State-of-the-art circular BEC waveguides: ring diameters 3 mm and 96 mm,
-# toroid cross-section ~1e-2 cm^2, BEC density 1e14 cm^-3.
+# toroid cross-section ~1e-2 cm^2, BEC density 1e14 cm^-3, the medium
+# filling the full ring (L_M = 2*pi*R).
 RING_PRESETS = {
-    "gupta": {"radius": 1.5e-3, "cross_section": 1e-6, "density": 1e20},
-    "arnold": {"radius": 48e-3, "cross_section": 1e-6, "density": 1e20},
-}
+    name: RingGeometry(radius=radius, medium_length=2.0 * math.pi * radius,
+                       cross_section=1e-6, atom_density=1e20)
+    for name, radius in (("gupta", 1.5e-3), ("arnold", 48e-3))}

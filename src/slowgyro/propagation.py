@@ -59,7 +59,6 @@ __all__ = [
 
 MAX_STEP_CHANGE = 0.1   # per-step |d ln|rabi_p|| above which the step fails
 _MAX_REFINE = 64        # refinement floor: give up past this many substeps
-_GUPTA = RING_PRESETS["gupta"]  # from_dimensionless's ring
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class PropagationGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.length <= 0:
+        if not self.length > 0:
             raise ParameterError("grid length must be positive")
         if self.n_points < 64:
             raise ParameterError(f"n_points must be >= 64, got {self.n_points}")
@@ -126,31 +125,31 @@ class RingMedium:
     @classmethod
     def from_dimensionless(cls, a: float, xi: float, s0: float,
                            rotation_rate: float = 0.0) -> "RingMedium":
-        """Rb-87 medium on the gupta ring (full ring, its radius and
-        cross-section, control Rabi frequency 1e6 rad/s) realizing
-        prescribed (a, xi, s0).
+        """Rb-87 medium on the gupta ring (params.RING_PRESETS, control
+        Rabi frequency 1e6 rad/s) realizing prescribed (a, xi, s0).
 
-        Chooses the atomic density to hit xi and the ground-coherence
-        dephasing to hit a, keeping every stored quantity SI.
+        Chooses the atomic density to hit xi (xi = inf: no atoms) and the
+        ground-coherence dephasing to hit a, keeping every stored quantity
+        SI.  Refuses a outside [0, inf), xi <= 0 and s0 < 0, NaN included.
         """
-        radius = _GUPTA["radius"]
+        if not (0 <= a < math.inf and xi > 0 and s0 >= 0):
+            raise ParameterError(f"need 0 <= a < inf, xi > 0 and s0 >= 0; "
+                                 f"got a = {a}, xi = {xi}, s0 = {s0}")
+        ring = RING_PRESETS["gupta"]
         rabi_c = 1.0e6
-        medium_length = 2.0 * math.pi * radius
         probe = ProbeControlFields(lambda_p=REFERENCE_WAVELENGTHS["rb87"],
                                    rabi_p0=math.sqrt(s0) * rabi_c,
                                    rabi_c=rabi_c)
         v_rec = recoil_velocity(RB87, probe.lambda_p)
-        if xi <= 0 or math.isinf(xi):
+        if math.isinf(xi):
             density = 0.0
         else:
             tan2 = c / (v_rec * xi)
             density = (tan2 * rabi_c**2 * 2.0 * hbar * epsilon_0
                        / (RB87.dipole_p**2 * probe.omega_p))
-        atom = replace(RB87, gamma13=a * v_rec / medium_length)
-        geom = RingGeometry(radius=radius, medium_length=medium_length,
-                            cross_section=_GUPTA["cross_section"],
-                            atom_density=density, rotation_rate=rotation_rate)
-        return cls(atom, probe, geom)
+        atom = replace(RB87, gamma13=a * v_rec / ring.medium_length)
+        return cls(atom, probe, replace(ring, atom_density=density,
+                                        rotation_rate=rotation_rate))
 
 
 @dataclass
@@ -185,7 +184,7 @@ def check_validity(medium: RingMedium, prep: MediumPreparation, mode: str):
     or rabi_c^2 < 100 gamma13 gamma1 (EITConditionWarning), for xi < 1,
     beyond the critical mixing angle (UserWarning), and in weak mode for
     s(0) > 0.01 (WeakFieldWarning)."""
-    if mode != "weak" and abs(medium.scales.eta - 1.0) > 1e-9:
+    if mode != "weak" and not abs(medium.scales.eta - 1.0) <= 1e-9:
         raise ParameterError(
             f"the {mode} model requires eta = 1 (perpendicular control), "
             f"got eta = {medium.scales.eta}")

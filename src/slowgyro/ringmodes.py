@@ -52,7 +52,7 @@ class MediumPreparation:
     temperature: float = 0.0  # K, ThermalRing only
 
     def __post_init__(self):
-        if self.kind is Preparation.THERMAL_RING and self.temperature <= 0:
+        if self.kind is Preparation.THERMAL_RING and not self.temperature > 0:
             raise ParameterError("thermal ring preparation needs temperature > 0")
 
 

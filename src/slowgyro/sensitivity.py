@@ -61,28 +61,21 @@ def detector_photons(cross_section: float, density: float, v_rec: float,
                      t: float, xi: float, s, a: float):
     """Quanta counted in time t: F * rho * v_rec * t * xi * s * e^(-2a/xi).
 
-    s may be a scalar or an array (one count per saturation).  Warns, once
-    per call, when fewer than one quantum arrives, where the shot-noise
-    formula stops being meaningful.
+    s may be a scalar or an array (one count per saturation, a float for a
+    scalar).  Warns, once per call, when fewer than one quantum arrives,
+    where the shot-noise formula stops being meaningful.
     """
-    scalar = np.ndim(s) == 0
-    if not scalar:
-        s = np.asarray(s, dtype=float)
+    s = np.asarray(s, dtype=float)
     if (min(cross_section, density, v_rec, t) < 0 or xi <= 0 or a < 0
             or np.any(s < 0)):
         raise ParameterError("detector_photons arguments must be positive")
     n_d = cross_section * density * v_rec * t * xi * s * math.exp(-2.0 * a / xi)
-    if scalar:
-        if n_d < 1.0:
-            warnings.warn(f"n_D = {n_d:.3g} < 1: shot-noise formula is suspect",
-                          LowCountWarning, stacklevel=2)
-    else:
-        low = int(np.count_nonzero(n_d < 1.0))
-        if low:
-            warnings.warn(f"n_D < 1 at {low} of {n_d.size} saturations "
-                          f"(smallest {n_d.min():.3g}): shot-noise formula is "
-                          "suspect there", LowCountWarning, stacklevel=2)
-    return n_d
+    low = int(np.count_nonzero(n_d < 1.0))
+    if low:
+        warnings.warn(f"n_D < 1 at {low} of {n_d.size} saturations "
+                      f"(smallest {n_d.min():.3g}): shot-noise formula is "
+                      "suspect there", LowCountWarning, stacklevel=2)
+    return n_d if n_d.ndim else float(n_d)
 
 
 def shape_factor(s, xi, a):
@@ -194,16 +187,13 @@ def _omega_min_at(opt: OptimumPoint, area: float, cross_section: float,
 
 @dataclass
 class SensitivityReport:
-    """Full sensitivity budget at the optimum operating point, with every
-    assumption spelled out."""
+    """Full sensitivity budget at the optimum operating point opt, with
+    every assumption spelled out."""
 
+    opt: OptimumPoint
     n_d: float
     delta_phi_noise: float
     snr: float
-    s_opt: float
-    xi_opt: float
-    g_max: float
-    f: float
     omega_min: float
     assumptions: list = field(default_factory=list)
 
@@ -228,11 +218,10 @@ def sensitivity_budget(geometry: RingGeometry, v_rec: float, t: float,
     n_d = detector_photons(cross_section, density, v_rec, t, opt.xi_opt,
                            opt.s_opt, a)
     return SensitivityReport(
-        n_d=n_d, delta_phi_noise=1.0 / math.sqrt(n_d),
+        opt=opt, n_d=n_d, delta_phi_noise=1.0 / math.sqrt(n_d),
         snr=snr(om, area, cross_section, density, v_rec, t, opt.s_opt,
                 opt.xi_opt, a, mass),
-        s_opt=opt.s_opt, xi_opt=opt.xi_opt, g_max=opt.g_max,
-        f=opt.f_estimate, omega_min=om, assumptions=[
+        omega_min=om, assumptions=[
             f"area convention {area_convention}: A = {formula} = "
             f"{area:.6g} m^2",
             f"exact optimizer prefactor f = {opt.f_estimate:.5g} "
@@ -257,19 +246,15 @@ def case_study(name: str, species: str = "na23", a: float = 2.9,
     if species not in SPECIES_PRESETS:
         raise ParameterError(f"unknown species {species!r}; "
                              f"known: {sorted(SPECIES_PRESETS)}")
-    ring = RING_PRESETS[key]
-    radius = ring["radius"]
-    geometry = RingGeometry(radius=radius, medium_length=2.0 * math.pi * radius,
-                            cross_section=ring["cross_section"],
-                            atom_density=ring["density"])
+    geometry = RING_PRESETS[key]
     atom = SPECIES_PRESETS[species]
     lambda_p = REFERENCE_WAVELENGTHS[species]
     v_rec = recoil_velocity(atom, lambda_p)
     report = sensitivity_budget(geometry, v_rec, t, a, atom.mass,
                                 area_convention)
     report.assumptions[:0] = [
-        f"case={key}: ring radius {radius} m (waveguide diameter "
-        f"{2*radius*1e3:.0f} mm), full ring L_M = 2*pi*R",
+        f"case={key}: ring radius {geometry.radius} m (waveguide diameter "
+        f"{2*geometry.radius*1e3:.0f} mm), full ring L_M = 2*pi*R",
         f"species={species}: mass {atom.mass} kg, probe line {lambda_p*1e9:.2f} nm, "
         f"v_rec {v_rec:.4g} m/s",
         f"density={geometry.atom_density:g} /m^3 and "

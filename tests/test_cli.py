@@ -832,7 +832,10 @@ class TestValidityDomain:
         assert prep["preparation.kind"] in err
         code, out, _ = run(["phase", "--config", path], capsys)
         assert code == 0
-        assert json.loads(out)["results"]["matter_part"]["value"] == 0.0
+        env = json.loads(out)
+        assert env["results"]["matter_part"]["value"] == 0.0
+        assert (f"preparation {prep['preparation.kind']}: matter term gated "
+                "to zero") in env["assumptions"]
         code, out, _ = run(["snr-sweep", "--config", path, "--steps", "5"],
                            capsys)
         assert code == 0

@@ -10,6 +10,8 @@ from slowgyro.errors import ParameterError
 from slowgyro.params import (NA23, RB87, AtomSpecies, ProbeControlFields,
                              RingGeometry, derived_scales, dipole_from_gamma,
                              recoil_velocity, rest_energy_ratio)
+from slowgyro.propagation import PropagationGrid
+from slowgyro.ringmodes import MediumPreparation, Preparation
 
 
 def fields_for(lambda_p, rabi_p0=1e5, rabi_c=1e6, k_c_parallel=0.0):
@@ -166,3 +168,28 @@ def test_dimensional_consistency_of_all_scales():
     assert derived.g2rho == pytest.approx(
         RB87.dipole_p**2 * fields.omega_p * GEOM.atom_density
         / (2 * hbar * epsilon_0), rel=1e-12)
+
+
+# valid arguments of each input class with a range check
+VALID = {
+    AtomSpecies: dict(mass=RB87.mass, dipole_p=RB87.dipole_p, gamma1=1e7,
+                      gamma3=1e7, gamma13=1e3),
+    ProbeControlFields: dict(lambda_p=780e-9, rabi_p0=1e5, rabi_c=1e6),
+    RingGeometry: dict(radius=1.5e-3, medium_length=9e-3, cross_section=1e-6,
+                       atom_density=1e20, rotation_rate=7.29e-5),
+    PropagationGrid: dict(length=9e-3, n_points=64),
+    MediumPreparation: dict(kind=Preparation.THERMAL_RING, temperature=1e-6),
+}
+
+
+@pytest.mark.parametrize(
+    "cls,name,value",
+    [(cls, name, math.nan) for cls, kwargs in VALID.items()
+     for name, v in kwargs.items() if isinstance(v, float)]
+    + [(AtomSpecies, "dipole_p", -1e-29)],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_range_checks_refuse_nan(cls, name, value):
+    # the library refuses what the CLI refuses before building
+    cls(**VALID[cls])
+    with pytest.raises(ParameterError):
+        cls(**{**VALID[cls], name: value})

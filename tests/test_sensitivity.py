@@ -48,7 +48,9 @@ class TestDetectorPhotons:
         assert n_1 == pytest.approx(n_2, rel=1e-9)
 
     def test_low_count_warning(self):
-        with pytest.warns(LowCountWarning):
+        # a scalar count warns in the same words as an array of one
+        with pytest.warns(LowCountWarning, match=r"n_D < 1 at 1 of 1 "
+                          r"saturations \(smallest 3\.97e-11\)"):
             detector_photons(1e-6, 1e2, V_REC_NA, 1.0, 2.0, 1e-3, 5.0)
 
     def test_array_matches_scalar_calls_and_warns_once(self):
@@ -308,9 +310,9 @@ class TestCaseStudies:
         area = 1.5e-3 * (2.0 * math.pi * 1.5e-3)
         gupta = RING_PRESETS["gupta"]
         assert report.omega_min == omega_min(
-            area, gupta["cross_section"], gupta["density"], v_rec, 1.0, 2.9,
+            area, gupta.cross_section, gupta.atom_density, v_rec, 1.0, 2.9,
             NA23.mass)
-        assert (f"exact optimizer prefactor f = {report.f:.5g} "
+        assert (f"exact optimizer prefactor f = {report.opt.f_estimate:.5g} "
                 "(SNR at omega_min is 1)") in report.assumptions
 
 
