@@ -38,7 +38,7 @@ from .params import (REFERENCE_WAVELENGTHS, RING_PRESETS, SPECIES_PRESETS,
                      AtomSpecies, ProbeControlFields, RingGeometry)
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
                           check_validity, frozen_phases, propagate_allorder,
-                          signal_phase, write_profile_csv)
+                          signal_phase)
 from .ringmodes import MediumPreparation, Preparation
 from .sensitivity import (case_study, detector_photons, optimize_snr,
                           sensitivity_budget)
@@ -247,6 +247,13 @@ def read_config(path: str | None) -> dict:
     return raw
 
 
+def _write_rows(out, header: list, rows):
+    """CSV table on the text stream `out`: header, rows, newline ends."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 @dataclass
 class ResultEnvelope:
     """Machine-readable result: inputs echo, unit-tagged numbers,
@@ -265,12 +272,9 @@ class ResultEnvelope:
     def write(self, out, fmt: str = "json"):
         """Write as JSON, or as CSV name/value/unit rows (fmt "csv")."""
         if fmt == "csv":
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["name", "value", "unit"])
-            for name in sorted(self.results):
-                entry = self.results[name]
-                writer.writerow([name, json.dumps(entry["value"]),
-                                 entry["unit"]])
+            _write_rows(out, ["name", "value", "unit"], (
+                [name, json.dumps(entry["value"]), entry["unit"]]
+                for name, entry in sorted(self.results.items())))
             return
         out.write(json.dumps(vars(self), indent=2, sort_keys=True))
         out.write("\n")
@@ -295,8 +299,7 @@ def cmd_steady_state(config: RunConfig, env: ResultEnvelope):
             "dimensionless (trace normalized to 1)")
     env.add("rho_imag", [[float(v.imag) for v in row] for row in rho.rho],
             "dimensionless")
-    env.add("hermiticity_residual",
-            float(np.abs(rho.rho - rho.rho.conj().T).max()), "dimensionless")
+    env.add("hermiticity_residual", rho.hermiticity_residual, "dimensionless")
     env.add("trace_residual", float(abs(rho.rho.trace() - 1.0)), "dimensionless")
     env.add("generator_residual", residual, "dimensionless")
     env.add("excited_population", float(rho.rho[1, 1].real), "dimensionless")
@@ -320,7 +323,17 @@ def _add_phase(env: ResultEnvelope, config: RunConfig, result, profile_out):
         f"preparation {config.preparation.kind.value}: matter term "
         f"{'kept' if result.diagnostics['gate'] else 'gated to zero'}")
     if profile_out is not None:
-        write_profile_csv(result, profile_out, config.fields.rabi_p0)
+        # columns from the beam's log-amplitude: |rabi_p| = rabi_p0 e^Re,
+        # phase = Im, s = s0 e^(2 Re); xi is the medium's
+        log_amp = result.log_amplitude
+        table = np.column_stack((
+            config.grid().x, config.fields.rabi_p0 * np.exp(log_amp.real),
+            log_amp.imag,
+            config.fields.saturation0 * np.exp(2.0 * log_amp.real),
+            np.full(log_amp.size, config.medium().xi)))
+        _write_rows(profile_out, ["x_m", "abs_rabi_p_rad_s", "phase_rad",
+                                  "saturation", "xi"],
+                    ([repr(v) for v in row] for row in table.tolist()))
 
 
 def cmd_phase(config: RunConfig, env: ResultEnvelope, profile_out=None):
@@ -384,21 +397,18 @@ def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
                                     medium.loss_parameter))
     table = np.column_stack((rabi_p0, s_values, np.abs(light + matter) * root,
                              np.abs(matter) * root, np.abs(light) * root))
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rabi_p0_rad_s", "s", "snr_total", "snr_matter",
-                     "snr_light"])
-    writer.writerows([repr(v) for v in row] for row in table.tolist())
+    _write_rows(out, ["rabi_p0_rad_s", "s", "snr_total", "snr_matter",
+                      "snr_light"],
+                ([repr(v) for v in row] for row in table.tolist()))
 
 
 def cmd_optimize(out, a_list=DEFAULT_A_LIST):
     """Optimum operating point for each loss parameter, CSV columns
     (a, s_opt, xi_opt, g_max, f_estimate)."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["a", "s_opt", "xi_opt", "g_max", "f_estimate"])
-    for a in a_list:
-        opt = optimize_snr(float(a))
-        writer.writerow([repr(float(a)), repr(opt.s_opt), repr(opt.xi_opt),
-                         repr(opt.g_max), repr(opt.f_estimate)])
+    opts = [(float(a), optimize_snr(float(a))) for a in a_list]
+    _write_rows(out, ["a", "s_opt", "xi_opt", "g_max", "f_estimate"],
+                ([repr(a), repr(o.s_opt), repr(o.xi_opt), repr(o.g_max),
+                  repr(o.f_estimate)] for a, o in opts))
 
 
 STATE_OF_THE_ART = {

@@ -91,6 +91,9 @@ class ProbeControlFields:
             raise ParameterError("control Rabi frequency must be positive (EIT needs a control field)")
         if not self.rabi_p0 >= 0:
             raise ParameterError("probe Rabi frequency magnitude must be >= 0")
+        if not all(map(math.isfinite, (self.k_c_parallel, self.delta2,
+                                       self.delta3))):
+            raise ParameterError("k_c_parallel, delta2 and delta3 must be finite")
 
     @property
     def k_p(self) -> float:

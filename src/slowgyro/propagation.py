@@ -54,7 +54,6 @@ __all__ = [
     "signal_phase",
     "frozen_phases",
     "bare_sagnac_phase",
-    "write_profile_csv",
 ]
 
 MAX_STEP_CHANGE = 0.1   # per-step |d ln|rabi_p|| above which the step fails
@@ -154,25 +153,27 @@ class RingMedium:
 
 @dataclass
 class PropagationResult:
-    """Phases, transmission and operating-point profiles of one propagation.
-
-    light_part and matter_part split the phase of the beam selected by the
-    `direction` argument (see the module docstring); delta_phi_sig is the
-    full counter-propagating differential phase.
-    """
+    """Phases and transmission of one propagation, and the log-amplitude
+    ln(rabi_p(x) / rabi_p(0)) at the grid points of the beam selected by
+    `direction`: its real part is the log of the amplitude ratio, its
+    imaginary part the phase.  light_part and matter_part split that beam's
+    phase (see the module docstring); delta_phi_sig is the full
+    counter-propagating differential phase."""
 
     phase_cw: float
-    phase_ccw: float
     amplitude_ratio: float
-    delta_phi_sig: float
     light_part: float
     matter_part: float
-    s_profile: np.ndarray
-    xi_profile: np.ndarray
-    x: np.ndarray
-    phase_profile: np.ndarray
-    amplitude_profile: np.ndarray
+    log_amplitude: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def phase_ccw(self) -> float:
+        return -self.phase_cw
+
+    @property
+    def delta_phi_sig(self) -> float:
+        return 2.0 * self.phase_cw
 
 
 def check_validity(medium: RingMedium, prep: MediumPreparation, mode: str):
@@ -246,28 +247,21 @@ def frozen_phases(medium: RingMedium, prep: MediumPreparation, s):
 
 
 def _uniform_result(medium: RingMedium, grid: PropagationGrid, gate: float,
-                    direction: int, phases, s0: float, kappa: float,
+                    direction: int, phases, kappa: float,
                     mode: str) -> PropagationResult:
     """Result for phase rates that are constant along the medium, from the
-    co-propagating beam's (light, matter) phases: the phase profile grows
-    linearly in x and ends on the beam phase, the amplitude decays as
+    co-propagating beam's (light, matter) phases: the phase grows linearly
+    in x and ends on the beam phase, the amplitude decays as
     exp(-kappa x)."""
-    light = direction * phases[0]
-    matter = direction * phases[1]
+    light, matter = (direction * phase for phase in phases)
     beam = light + matter
-    phase_cw = beam if direction == 1 else -beam
-    n = grid.n_points
     x = grid.x
     length = medium.geometry.medium_length
     return PropagationResult(
-        phase_cw=phase_cw, phase_ccw=-phase_cw,
+        phase_cw=beam if direction == 1 else -beam,
         amplitude_ratio=math.exp(-kappa * length),
-        delta_phi_sig=2.0 * phase_cw,
         light_part=light, matter_part=matter,
-        s_profile=np.full(n, s0), xi_profile=np.full(n, medium.xi),
-        x=x,
-        phase_profile=beam * (x / length),
-        amplitude_profile=np.exp(-kappa * x),
+        log_amplitude=-kappa * x + 1j * (beam * (x / length)),
         diagnostics={"mode": mode, "gate": gate},
     )
 
@@ -284,12 +278,10 @@ def propagate_weak(medium: RingMedium, prep: MediumPreparation,
     if direction not in (1, -1):
         raise ParameterError("direction must be +1 or -1")
     check_validity(medium, prep, "weak")
-    s0 = medium.fields.saturation0
     gate = matter_term_gate(prep)
     length = medium.geometry.medium_length
     phases = [rate * length for rate in _phase_rates(medium, 0.0, gate)]
-    return _uniform_result(medium, grid, gate, direction, phases, s0, 0.0,
-                           "weak")
+    return _uniform_result(medium, grid, gate, direction, phases, 0.0, "weak")
 
 
 def _rhs(y, loss, pref, tan2, rc2, vrec_c, gate):
@@ -341,8 +333,8 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     gate = matter_term_gate(prep)
     if medium.fields.rabi_p0 == 0.0:
         return _uniform_result(medium, grid, gate, direction,
-                               frozen_phases(medium, prep, 0.0), 0.0,
-                               medium.kappa, "allorder")
+                               frozen_phases(medium, prep, 0.0), medium.kappa,
+                               "allorder")
     check_validity(medium, prep, "saturating")
     loss = medium.kappa
     n_cells = grid.n_points - 1
@@ -371,20 +363,16 @@ def propagate_allorder(medium: RingMedium, prep: MediumPreparation,
     richardson = abs(phase_cw - float((coarse[-1] - coarse[0]).imag)) / 15.0
 
     y_sel = y_cw if direction == 1 else y_cw.conjugate()
-    amp = np.exp(y_sel.real - y_sel.real[0])
     s_profile = np.exp(2.0 * y_sel.real) / medium.fields.rabi_c**2
     light, matter = _split_phase(medium, gate, s_profile, grid, direction,
                                  2 * refine)
+    log_amplitude = y_sel - y_sel[0]
 
     return PropagationResult(
-        phase_cw=phase_cw, phase_ccw=-phase_cw,
-        amplitude_ratio=float(amp[-1]),
-        delta_phi_sig=2.0 * phase_cw,
+        phase_cw=phase_cw,
+        amplitude_ratio=float(np.exp(log_amplitude[-1].real)),
         light_part=light, matter_part=matter,
-        s_profile=s_profile, xi_profile=np.full(grid.n_points, medium.xi),
-        x=grid.x,
-        phase_profile=(y_sel.imag - y_sel.imag[0]),
-        amplitude_profile=amp,
+        log_amplitude=log_amplitude,
         diagnostics={"mode": "allorder", "gate": gate,
                      "richardson_phase": richardson,
                      "max_step": max_step},
@@ -416,18 +404,3 @@ def signal_phase(medium: RingMedium, prep: MediumPreparation,
     result.diagnostics["mode"] = "signal"
     return result
 
-
-def write_profile_csv(result: PropagationResult, out, rabi_p0: float):
-    """Per-sample profile (x, |rabi_p|, phase, s, xi) as CSV, written to the
-    text stream `out`."""
-    import csv
-
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x_m", "abs_rabi_p_rad_s", "phase_rad", "saturation",
-                     "xi"])
-    for i in range(result.x.size):
-        writer.writerow([repr(float(result.x[i])),
-                         repr(float(rabi_p0 * result.amplitude_profile[i])),
-                         repr(float(result.phase_profile[i])),
-                         repr(float(result.s_profile[i])),
-                         repr(float(result.xi_profile[i]))])

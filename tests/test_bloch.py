@@ -9,7 +9,7 @@ from _oracles import (absorption_exact, evolve_to_steady,
                       liouvillian_by_basis, random_lambda_params)
 from slowgyro.bloch import DensityMatrix, build_generator, steady_state
 from slowgyro.errors import (DegenerateEITError, DegenerateSteadyStateError,
-                             NonpositiveStateWarning)
+                             NonpositiveStateWarning, ParameterError)
 from slowgyro.params import RB87, AtomSpecies
 
 GAMMA = 1e7
@@ -81,6 +81,17 @@ class TestGeneratorStructure:
         with pytest.raises(DegenerateEITError):
             build_generator(make_atom(), 1e5, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["delta2", "delta3", "rotation_rate",
+                                      "rabi_p", "rabi_c"])
+    def test_non_finite_input_refused(self, name, value):
+        # a NaN detuning used to give rho = nan without an error
+        args = dict(rabi_p=1e5, rabi_c=1e6, delta2=1e5, delta3=-2e5,
+                    rotation_rate=1e-3, radius=1.5e-3, k_p=8.05e6)
+        build_generator(make_atom(gamma13=1e3), **args)
+        with pytest.raises(ParameterError):
+            build_generator(make_atom(gamma13=1e3), **{**args, name: value})
+
     def test_rotation_enters_only_through_radius(self):
         atom = make_atom(gamma13=1e3)
         gen_spinning = build_generator(atom, 1e5, 1e6, rotation_rate=10.0,
@@ -145,6 +156,24 @@ class TestSteadyState:
             vec = rho.rho.reshape(9)
             assert (np.linalg.norm(gen.m @ vec)
                     <= 1e-9 * np.linalg.norm(gen.m) * np.linalg.norm(vec))
+
+    def test_hermiticity_residual_is_the_solve_before_symmetrising(self):
+        # rho is made Hermitian after the solve, so a residual measured on
+        # the returned rho would be 0 by construction
+        rng = np.random.default_rng(5)
+        residuals = []
+        for _ in range(500):
+            p = random_lambda_params(rng)
+            atom = make_atom(p["gamma1"], p["gamma3"], p["gamma13"])
+            gen = build_generator(atom, p["rabi_p"], p["rabi_c"],
+                                  p["delta2"], p["delta3"],
+                                  rotation_rate=p["doppler"], radius=1.0,
+                                  k_p=1.0)
+            rho = steady_state(gen, n=1.0)
+            assert np.array_equal(rho.rho, rho.rho.conj().T)
+            residuals.append(rho.hermiticity_residual)
+        assert max(residuals) <= 1e-10
+        assert max(residuals) > 0.0
 
     def test_norm_scales_linearly(self):
         gen = build_generator(make_atom(gamma13=1e3), 3e5, 1e6, delta2=1e6)

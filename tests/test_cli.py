@@ -426,8 +426,9 @@ def _main(argv):
 
 class TestCommandsAgree:
     """Cross-command properties on random configs: `phase` is the
-    co-propagating beam of `propagate`, and `omega-min --config` reports
-    its own SNR at Omega_min."""
+    co-propagating beam of `propagate`, `omega-min --config` reports its
+    own SNR at Omega_min, and every command refuses by the README's one
+    table of refusals."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -460,6 +461,39 @@ class TestCommandsAgree:
         assert abs(results["snr_at_omega_min"]["value"] - 1.0) <= 1e-12
         assert results["delta_phi_noise"]["value"] == \
             1.0 / math.sqrt(results["n_D"]["value"])
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(eta=st.sampled_from([1.0, 0.5]),
+           kind=st.sampled_from([p.value for p in Preparation]),
+           zero_dipole=st.booleans(), zero_density=st.booleans())
+    def test_refusals_follow_the_readme_table(self, tmp_path_factory, eta,
+                                              kind, zero_dipole,
+                                              zero_density):
+        k_p = 2.0 * math.pi / ATOM_PRESETS["rb87"]["fields.lambda_p_m"]
+        raw = {"fields.k_c_parallel_per_m": (1.0 - eta) * k_p,
+               "preparation.kind": kind}
+        if kind == "thermal_ring":
+            raw["preparation.temperature_K"] = 1e-6
+        if zero_dipole:
+            raw["atom.dipole_p_Cm"] = 0.0
+        if zero_density:
+            raw["geometry.atom_density_per_m3"] = 0.0
+        path = tmp_path_factory.mktemp("refusals") / "config.json"
+        path.write_text(json.dumps(raw))
+        gated = kind != "superfluid_ring"
+        uncoupled = zero_dipole or zero_density
+        refused = {"steady-state": False,
+                   "propagate": eta != 1.0,
+                   "phase": eta != 1.0,
+                   "snr-sweep": eta != 1.0 or uncoupled,
+                   "omega-min": eta != 1.0 or gated or uncoupled}
+        extra = {"propagate": ["--grid", "64"], "phase": ["--grid", "64"],
+                 "snr-sweep": ["--steps", "5"]}
+        for command, refuse in refused.items():
+            code, _, err = _main([command, "--config", str(path)]
+                                 + extra.get(command, []))
+            assert code == (1 if refuse else 0), (command, err)
 
 
 UNREAD = [

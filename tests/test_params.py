@@ -174,7 +174,8 @@ def test_dimensional_consistency_of_all_scales():
 VALID = {
     AtomSpecies: dict(mass=RB87.mass, dipole_p=RB87.dipole_p, gamma1=1e7,
                       gamma3=1e7, gamma13=1e3),
-    ProbeControlFields: dict(lambda_p=780e-9, rabi_p0=1e5, rabi_c=1e6),
+    ProbeControlFields: dict(lambda_p=780e-9, rabi_p0=1e5, rabi_c=1e6,
+                             k_c_parallel=0.0, delta2=0.0, delta3=0.0),
     RingGeometry: dict(radius=1.5e-3, medium_length=9e-3, cross_section=1e-6,
                        atom_density=1e20, rotation_rate=7.29e-5),
     PropagationGrid: dict(length=9e-3, n_points=64),
@@ -186,7 +187,9 @@ VALID = {
     "cls,name,value",
     [(cls, name, math.nan) for cls, kwargs in VALID.items()
      for name, v in kwargs.items() if isinstance(v, float)]
-    + [(AtomSpecies, "dipole_p", -1e-29)],
+    + [(AtomSpecies, "dipole_p", -1e-29)]
+    + [(ProbeControlFields, name, value) for name in
+       ("k_c_parallel", "delta2", "delta3") for value in (math.inf, -math.inf)],
     ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
 def test_range_checks_refuse_nan(cls, name, value):
     # the library refuses what the CLI refuses before building

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.constants import c, hbar
 
-from slowgyro import propagation
+from slowgyro import cli, propagation
 from slowgyro.errors import (EITConditionWarning, IntegrationError,
                              ParameterError, WeakFieldWarning)
 from slowgyro.params import RB87, ProbeControlFields, rest_energy_ratio
 from slowgyro.propagation import (PropagationGrid, RingMedium,
                                   bare_sagnac_phase, check_validity,
                                   frozen_phases, propagate_allorder,
-                                  propagate_weak, signal_phase,
-                                  write_profile_csv)
+                                  propagate_weak, signal_phase)
 from slowgyro.ringmodes import MediumPreparation, Preparation
 
 SUPERFLUID = MediumPreparation(Preparation.SUPERFLUID_RING)
@@ -125,8 +124,11 @@ class TestWeakField:
     def test_profiles_hold_input_saturation_and_unit_amplitude(self):
         medium = medium_for(a=1.0, xi=2.0, s0=0.3)
         res = propagate_weak(medium, SUPERFLUID, grid_for(medium))
-        assert np.all(res.s_profile == medium.fields.saturation0)
-        assert np.all(res.amplitude_profile == 1.0)
+        # no loss: s = s0 e^(2 Re ln(rabi_p / rabi_p0)) stays s0
+        assert np.all(np.exp(res.log_amplitude.real) == 1.0)
+        assert np.all(medium.fields.saturation0
+                      * np.exp(2.0 * res.log_amplitude.real)
+                      == medium.fields.saturation0)
         assert res.amplitude_ratio == 1.0
 
     def test_general_momentum_transfer(self):
@@ -246,18 +248,25 @@ class TestAllOrder:
                                  direction=-1)
         assert res.light_part + res.matter_part == \
             pytest.approx(res.phase_ccw, rel=1e-8)
+        # the mirror of the co-propagating beam: conjugate log-amplitude
+        cw = propagate_allorder(medium, SUPERFLUID, grid_for(medium))
+        assert np.array_equal(res.log_amplitude, cw.log_amplitude.conj())
+        assert res.log_amplitude[-1].imag == \
+            pytest.approx(res.phase_ccw, rel=1e-12)
 
     @pytest.mark.parametrize("direction", [1, -1])
     def test_zero_probe_is_uniform_closed_form(self, direction):
         # s = 0 along the whole medium is the exact all-order solution
         medium = medium_for(a=1.0, xi=2.0, s0=0.0)
-        res = propagate_allorder(medium, SUPERFLUID, grid_for(medium),
+        grid = grid_for(medium)
+        res = propagate_allorder(medium, SUPERFLUID, grid,
                                  direction=direction)
         light, matter = frozen_phases(medium, SUPERFLUID, 0.0)
         assert (res.light_part, res.matter_part) == \
             (direction * light, direction * matter)
         assert res.phase_cw == light + matter == -res.phase_ccw
-        assert np.all(res.s_profile == 0.0)
+        assert np.array_equal(res.log_amplitude.real,
+                              -medium.kappa * grid.x)
         assert res.amplitude_ratio == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_step_failure_raises_with_diagnostics(self):
@@ -353,7 +362,8 @@ class TestSignalPhase:
     def test_allorder_profile_ends_on_phase(self):
         medium = medium_for(a=3.0, xi=1.5, s0=1.0)
         res = signal_phase(medium, SUPERFLUID, grid_for(medium, 256))
-        assert res.phase_profile[-1] == pytest.approx(res.phase_cw, rel=1e-12)
+        assert res.log_amplitude[-1].imag == \
+            pytest.approx(res.phase_cw, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::slowgyro.errors.WeakFieldWarning")
     def test_uniform_profiles_end_on_phase(self):
@@ -370,20 +380,23 @@ class TestSignalPhase:
                         for direction in (1, -1):
                             res = propagate(medium, SUPERFLUID, grid,
                                             direction=direction)
-                            assert res.phase_profile[-1] == \
+                            assert res.log_amplitude[-1].imag == \
                                 res.light_part + res.matter_part
 
     def test_requires_full_momentum_transfer(self):
-        # a NaN control projection gives eta = NaN, refused like eta != 1
         base = medium_for(a=0.0, xi=2.0)
-        for k_c_parallel in (0.3 * base.fields.k_p, math.nan):
-            fields = ProbeControlFields(lambda_p=780.24e-9,
-                                        rabi_p0=base.fields.rabi_p0,
-                                        rabi_c=base.fields.rabi_c,
-                                        k_c_parallel=k_c_parallel)
-            medium = RingMedium(base.atom, fields, base.geometry)
-            with pytest.raises(ParameterError):
-                signal_phase(medium, SUPERFLUID, grid_for(medium))
+        fields = ProbeControlFields(lambda_p=780.24e-9,
+                                    rabi_p0=base.fields.rabi_p0,
+                                    rabi_c=base.fields.rabi_c,
+                                    k_c_parallel=0.3 * base.fields.k_p)
+        medium = RingMedium(base.atom, fields, base.geometry)
+        with pytest.raises(ParameterError):
+            signal_phase(medium, SUPERFLUID, grid_for(medium))
+        # a NaN control projection, which would give eta = NaN, is refused
+        # by the fields themselves
+        with pytest.raises(ParameterError):
+            ProbeControlFields(lambda_p=780.24e-9, rabi_p0=1e5, rabi_c=1e6,
+                               k_c_parallel=math.nan)
 
 
 def xi_warnings(medium):
@@ -448,8 +461,7 @@ class TestKernelProperties:
                                  direction=direction)
         assert mir.phase_cw == -res.phase_cw
         assert mir.light_part == -res.light_part
-        assert np.array_equal(mir.phase_profile, -res.phase_profile)
-        assert np.array_equal(mir.amplitude_profile, res.amplitude_profile)
+        assert np.array_equal(mir.log_amplitude, res.log_amplitude.conj())
         beam = res.phase_cw if direction == 1 else res.phase_ccw
         assert res.light_part + res.matter_part == \
             pytest.approx(beam, rel=1e-12, abs=0.0)
@@ -488,21 +500,26 @@ class TestStepRule:
 
 class TestProfiles:
     def test_profile_csv(self, tmp_path):
-        medium = medium_for(a=1.0, xi=2.0, s0=0.3)
-        res = propagate_allorder(medium, SUPERFLUID, grid_for(medium))
+        # the CLI derives the columns from the beam's log-amplitude
         path = tmp_path / "profile.csv"
-        with open(path, "w", newline="") as fh:
-            write_profile_csv(res, fh, medium.fields.rabi_p0)
+        assert cli.main(["propagate", "--profile-out", str(path)]) == 0
+        config = cli.normalize_config({})
+        medium = config.medium()
+        res = propagate_allorder(medium, config.preparation, config.grid())
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x_m", "abs_rabi_p_rad_s", "phase_rad",
                            "saturation", "xi"]
-        assert len(rows) == 1 + res.x.size
+        assert len(rows) == 1 + res.log_amplitude.size
         assert float(rows[1][1]) == pytest.approx(medium.fields.rabi_p0)
-        assert float(rows[-1][3]) == pytest.approx(res.s_profile[-1])
+        assert float(rows[-1][2]) == pytest.approx(res.phase_cw)
+        assert float(rows[-1][3]) == pytest.approx(
+            medium.fields.saturation0 * res.amplitude_ratio**2)
+        assert float(rows[-1][4]) == medium.xi
 
     def test_saturation_profile_decays_with_loss(self):
         medium = medium_for(a=2.0, xi=2.0, s0=0.5, omega=0.0)
         res = propagate_allorder(medium, SUPERFLUID, grid_for(medium))
-        assert res.s_profile[0] == pytest.approx(0.5, rel=1e-9)
-        assert res.s_profile[-1] == pytest.approx(0.5 * math.exp(-2.0), rel=1e-6)
+        s = medium.fields.saturation0 * np.exp(2.0 * res.log_amplitude.real)
+        assert s[0] == pytest.approx(0.5, rel=1e-9)
+        assert s[-1] == pytest.approx(0.5 * math.exp(-2.0), rel=1e-6)
