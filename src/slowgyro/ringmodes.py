@@ -56,37 +56,38 @@ class MediumPreparation:
             raise ParameterError("thermal ring preparation needs temperature > 0")
 
 
+def _check_thermal(radius: float, mass: float, temperature: float) -> None:
+    if not (temperature > 0 and radius > 0 and mass > 0):
+        raise ParameterError("thermal ring gas needs T, R, m > 0, got "
+                             f"{temperature} K, {radius} m, {mass} kg")
+
+
 def boltzmann_mean_winding(rotation_rate: float, radius: float, mass: float,
                            temperature: float) -> float:
     """Thermal average <n> over the winding-number ladder, whose mode
     energies eps_n = n*hbar*Omega + n^2 hbar^2 / (2 m R^2) form a parabola
     with its minimum at n_0 = -m*Omega*R^2/hbar.
 
-    Direct Boltzmann sum around n_0; the window is widened until the
-    discarded tails are below 1e-15 of the running sums.  Serves as the
-    brute-force cross-check of the closed-form thermal phase, and far
-    below the level spacing it returns the ground winding number.
+    Direct Boltzmann sum over n_0 +- max(10, ceil(12 sigma)), sigma =
+    sqrt(k_B T m) R / hbar, leaving out tails below 1e-24 of the sum.  It
+    checks thermal_phase, and refuses half-windows above 10**7, where that
+    closed form holds.  Far below the level spacing it gives the ground mode.
     """
-    if temperature <= 0:
-        raise ParameterError("temperature must be positive")
-    if radius <= 0 or mass <= 0:
-        raise ParameterError("radius and mass must be positive")
+    _check_thermal(radius, mass, temperature)
     kT = k_B * temperature
     center = -mass * rotation_rate * radius**2 / hbar
-    # Gaussian width of the Boltzmann weight in winding number
     sigma = math.sqrt(kT * mass * radius**2) / hbar
-    half = max(10, int(math.ceil(12.0 * sigma)))
-    while True:
-        n = np.arange(math.floor(center) - half, math.floor(center) + half + 1,
-                      dtype=float)
-        energy = (n * hbar * rotation_rate
-                  + n * n * hbar**2 / (2.0 * mass * radius**2))
-        energy -= energy.min()
-        w = np.exp(-energy / kT)
-        total = w.sum()
-        if w[0] + w[-1] <= 1e-15 * total or half > 10**7:
-            return float((n * w).sum() / total)
-        half *= 2
+    if 12.0 * sigma > 10**7:
+        raise ParameterError(f"Boltzmann half-window {12.0 * sigma:.3g} > 1e7 "
+                             "winding numbers; use thermal_phase there")
+    half = max(10, math.ceil(12.0 * sigma))
+    n = np.arange(math.floor(center) - half, math.floor(center) + half + 1,
+                  dtype=float)
+    energy = (n * hbar * rotation_rate
+              + n * n * hbar**2 / (2.0 * mass * radius**2))
+    energy -= energy.min()
+    w = np.exp(-energy / kT)
+    return float((n * w).sum() / w.sum())
 
 
 def thermal_phase(rotation_rate: float, radius: float, mass: float,
@@ -96,11 +97,10 @@ def thermal_phase(rotation_rate: float, radius: float, mass: float,
     mode-energy parabola (see boltzmann_mean_winding).
 
     Valid when k_B T is large against both hbar*Omega and the level spacing
-    hbar^2/(2 m R^2); warns otherwise.  Use boltzmann_mean_winding for the
-    finite-temperature average.
+    hbar^2/(2 m R^2); warns otherwise.  Refuses T, R or m not > 0, as
+    boltzmann_mean_winding does, which gives the finite-T average.
     """
-    if temperature <= 0:
-        raise ParameterError("temperature must be positive")
+    _check_thermal(radius, mass, temperature)
     scale = hbar * abs(rotation_rate) + hbar**2 / (2.0 * mass * radius**2)
     if k_B * temperature < 10.0 * scale:
         warnings.warn(

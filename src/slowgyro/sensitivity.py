@@ -20,8 +20,8 @@ rate follows by setting SNR = 1,
     Omega_min = (hbar/m) / A * (F rho v_rec t)^(-1/2) * f * sqrt(a),
 
 where f = 1 / (g_max(a) * sqrt(a)) tends to about 7.18 for large a.
-f is the exact optimizer value for the given a, so the SNR evaluated at
-Omega_min is exactly one.
+Omega_min is computed as 1 / SNR(Omega = 1) at the optimum, so the SNR
+there is one up to rounding (a few ulp).
 
 The SNR here keeps only the dominant matter-wave phase and composes with
 the per-beam signal phase of the propagation module (its light/matter
@@ -66,9 +66,9 @@ def detector_photons(cross_section: float, density: float, v_rec: float,
     where the shot-noise formula stops being meaningful.
     """
     s = np.asarray(s, dtype=float)
-    if (min(cross_section, density, v_rec, t) < 0 or xi <= 0 or a < 0
-            or np.any(s < 0)):
-        raise ParameterError("detector_photons arguments must be positive")
+    if not (cross_section >= 0 and density >= 0 and v_rec >= 0 and t >= 0
+            and xi > 0 and a >= 0 and np.all(s >= 0)):
+        raise ParameterError("detector_photons needs xi > 0, all else >= 0")
     n_d = cross_section * density * v_rec * t * xi * s * math.exp(-2.0 * a / xi)
     low = int(np.count_nonzero(n_d < 1.0))
     if low:
@@ -91,8 +91,10 @@ def snr(rotation_rate: float, area: float, cross_section: float,
         density: float, v_rec: float, t: float, s: float, xi: float,
         a: float, mass: float) -> float:
     """Matter-wave signal-to-noise ratio of the uniform-medium estimate."""
-    if min(area, cross_section, density, v_rec, t, mass) <= 0:
-        raise ParameterError("snr arguments must be positive")
+    if not (area > 0 and cross_section > 0 and density > 0 and v_rec > 0
+            and t > 0 and mass > 0 and s >= 0 and xi > 0 and a >= 0):
+        raise ParameterError("snr needs s, a >= 0; area, F, rho, v_rec, t, "
+                             "xi, mass > 0")
     flux = math.sqrt(cross_section * density * v_rec * t)
     return (rotation_rate * area * mass / hbar) * flux * shape_factor(s, xi, a)
 
@@ -167,10 +169,9 @@ def optimize_snr(a: float) -> OptimumPoint:
 
 def omega_min(area: float, cross_section: float, density: float, v_rec: float,
               t: float, a: float, mass: float) -> float:
-    """Minimum detectable rotation rate
-    (hbar/m) / A * (F rho v_rec t)^(-1/2) * f * sqrt(a), with the optimizer
-    value f = 1/(g_max(a) sqrt(a)), so the SNR at Omega_min is exactly one
-    for this a.
+    """Minimum detectable rotation rate, the rate at which the SNR at the
+    optimum (s, xi) for this a is one: 1 / snr(1, ...), refused where snr
+    refuses.  It equals (hbar/m) / A * (F rho v_rec t)^(-1/2) * f * sqrt(a).
     """
     return _omega_min_at(optimize_snr(a), area, cross_section, density,
                          v_rec, t, mass)
@@ -179,10 +180,8 @@ def omega_min(area: float, cross_section: float, density: float, v_rec: float,
 def _omega_min_at(opt: OptimumPoint, area: float, cross_section: float,
                   density: float, v_rec: float, t: float, mass: float) -> float:
     """omega_min at an optimum already solved for its loss parameter."""
-    if min(area, cross_section, density, v_rec, t, mass) <= 0:
-        raise ParameterError("omega_min arguments must be positive")
-    flux = math.sqrt(cross_section * density * v_rec * t)
-    return hbar / mass / area / flux * opt.f_estimate * math.sqrt(opt.a)
+    return 1.0 / snr(1.0, area, cross_section, density, v_rec, t, opt.s_opt,
+                     opt.xi_opt, opt.a, mass)
 
 
 @dataclass

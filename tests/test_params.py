@@ -7,11 +7,15 @@ from scipy.constants import c, hbar
 from _oracles import gamma_from_dipole
 from slowgyro._constants import epsilon_0  # CODATA 2022, as the package
 from slowgyro.errors import ParameterError
-from slowgyro.params import (NA23, RB87, AtomSpecies, ProbeControlFields,
-                             RingGeometry, derived_scales, dipole_from_gamma,
-                             recoil_velocity, rest_energy_ratio)
+from slowgyro.params import (NA23, RB87, RING_PRESETS, AtomSpecies,
+                             ProbeControlFields, RingGeometry, derived_scales,
+                             dipole_from_gamma, recoil_velocity,
+                             rest_energy_ratio)
 from slowgyro.propagation import PropagationGrid
-from slowgyro.ringmodes import MediumPreparation, Preparation
+from slowgyro.ringmodes import (MediumPreparation, Preparation,
+                                boltzmann_mean_winding, thermal_phase)
+from slowgyro.sensitivity import (case_study, detector_photons, omega_min,
+                                  sensitivity_budget, snr)
 
 
 def fields_for(lambda_p, rabi_p0=1e5, rabi_c=1e6, k_c_parallel=0.0):
@@ -196,3 +200,48 @@ def test_range_checks_refuse_nan(cls, name, value):
     cls(**VALID[cls])
     with pytest.raises(ParameterError):
         cls(**{**VALID[cls], name: value})
+
+
+V_REC_NA = 2.9468e-2
+# valid arguments of each library call with a domain check, and the
+# arguments that a NaN must make it refuse
+CALLS = {
+    detector_photons: (dict(cross_section=1e-6, density=1e20, v_rec=V_REC_NA,
+                            t=1.0, xi=2.0, s=0.5, a=1.0),
+                       ["cross_section", "density", "v_rec", "t", "xi", "s",
+                        "a"]),
+    snr: (dict(rotation_rate=1e-6, area=1e-5, cross_section=1e-6,
+               density=1e20, v_rec=V_REC_NA, t=1.0, s=1 / 3, xi=10.0, a=5.0,
+               mass=NA23.mass),
+          ["area", "cross_section", "density", "v_rec", "t", "mass", "s",
+           "xi", "a"]),
+    omega_min: (dict(area=1e-5, cross_section=1e-6, density=1e20,
+                     v_rec=V_REC_NA, t=1.0, a=2.9, mass=NA23.mass),
+                ["area", "cross_section", "density", "v_rec", "t", "mass"]),
+    sensitivity_budget: (dict(geometry=RING_PRESETS["gupta"], v_rec=V_REC_NA,
+                              t=1.0, a=2.9, mass=NA23.mass),
+                         ["v_rec", "t", "mass"]),
+    case_study: (dict(name="gupta", t=1.0), ["t"]),
+    thermal_phase: (dict(rotation_rate=7.29e-5, radius=48e-3, mass=RB87.mass,
+                         temperature=1e-6),
+                    ["radius", "mass", "temperature"]),
+    boltzmann_mean_winding: (dict(rotation_rate=7.29e-5, radius=1.5e-3,
+                                  mass=RB87.mass, temperature=1e-9),
+                             ["radius", "mass", "temperature"]),
+    dipole_from_gamma: (dict(gamma=3.81e7, omega_p=2.414e15),
+                        ["gamma", "omega_p"]),
+}
+
+
+@pytest.mark.parametrize(
+    "call,name,value",
+    [(call, name, math.nan) for call, (_, refused) in CALLS.items()
+     for name in refused]
+    + [(thermal_phase, "radius", 0.0), (thermal_phase, "mass", -RB87.mass)],
+    ids=lambda v: v.__name__ if callable(v) else str(v))
+def test_library_calls_refuse_nan(call, name, value):
+    # the library functions refuse what the CLI refuses, NaN included
+    kwargs = CALLS[call][0]
+    call(**kwargs)
+    with pytest.raises(ParameterError):
+        call(**{**kwargs, name: value})

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as k_B
 
+from slowgyro import ringmodes
 from slowgyro.errors import ParameterError, ThermalRegimeWarning
-from slowgyro.params import RB87
+from slowgyro.params import NA23, RB87
 from slowgyro.ringmodes import (MediumPreparation, Preparation,
                                 boltzmann_mean_winding, matter_term_gate,
                                 thermal_phase)
@@ -59,6 +61,48 @@ class TestModeEnergy:
             boltzmann_mean_winding(0.0, -1.0, MASS, 1e-6)
         with pytest.raises(ParameterError):
             boltzmann_mean_winding(0.0, 1.5e-3, -MASS, 1e-6)
+
+
+class TestBoltzmannWindow:
+    """The one window n_0 +- max(10, ceil(12 sigma)) that
+    boltzmann_mean_winding sums, sigma = sqrt(k_B T m) R / hbar."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mass=st.sampled_from([RB87.mass, NA23.mass]),
+           radius=st.floats(-4, -1), omega=st.floats(-7, -1),
+           sign=st.sampled_from([-1.0, 1.0]),
+           twelve_sigma=st.floats(-1, 5))
+    def test_edge_weights_negligible(self, mass, radius, omega, sign,
+                                     twelve_sigma):
+        # the window's edge weights are below 1e-15 of its sum, so a wider
+        # window would not change the mean; half-windows up to 1e5 drawn
+        # as decimal exponents, the weights read off the one np.exp call
+        radius, omega = 10.0**radius, sign * 10.0**omega
+        sigma = 10.0**twelve_sigma / 12.0
+        temp = (sigma * hbar / radius) ** 2 / mass / k_B
+        seen, real_exp = [], np.exp
+
+        def exp(x):
+            seen.append(real_exp(x))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ringmodes.np, "exp", exp)
+            boltzmann_mean_winding(omega, radius, mass, temp)
+        [w] = seen
+        assert w.size <= 2 * 10**5 + 1
+        assert w[0] + w[-1] <= 1e-15 * w.sum()
+
+    @pytest.mark.parametrize("temp", [1e-2, 1.0, math.inf])
+    def test_wide_window_refused_before_any_array(self, monkeypatch, temp):
+        # on a 1.5 mm ring 12 sigma is 7.6e6 winding numbers at 1 mK, so
+        # 10 mK and up need a half-window over 1e7; no array may be built
+        def arange(*args, **kwargs):
+            raise AssertionError("array built")
+
+        monkeypatch.setattr(ringmodes.np, "arange", arange)
+        with pytest.raises(ParameterError, match="thermal_phase"):
+            boltzmann_mean_winding(EARTH, 1.5e-3, MASS, temp)
 
 
 class TestNMin:

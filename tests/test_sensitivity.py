@@ -236,6 +236,26 @@ class TestOmegaMin:
                     opt.xi_opt, a, NA23.mass)
         assert value == pytest.approx(1.0, abs=1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(area=st.floats(-9, 0), cross_section=st.floats(-14, -4),
+           density=st.floats(14, 24), v_rec=st.floats(-4, 0),
+           t=st.floats(-3, 3), a=st.floats(-2, 4), mass=st.floats(-27, -24))
+    def test_omega_min_inverts_snr(self, area, cross_section, density, v_rec,
+                                   t, a, mass):
+        # omega_min is 1 / snr(1, ...) at the optimum: the SNR there is one
+        # up to the ten roundings of the two evaluations, half an ulp each,
+        # and the rate is the closed form (hbar/m)/A (F rho v_rec t)^-1/2 f
+        # sqrt(a).  Arguments are drawn as decimal exponents.
+        args = [10.0**e for e in (area, cross_section, density, v_rec, t)]
+        a, mass = 10.0**a, 10.0**mass
+        om = omega_min(*args, a, mass)
+        opt = optimize_snr(a)
+        value = snr(om, *args, opt.s_opt, opt.xi_opt, a, mass)
+        assert abs(value - 1.0) <= 5 * math.ulp(1.0)
+        flux = math.sqrt(args[1] * args[2] * args[3] * args[4])
+        closed = hbar / mass / args[0] / flux * opt.f_estimate * math.sqrt(a)
+        assert om == pytest.approx(closed, rel=1e-14)
+
     @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
     def test_bad_loss_parameter_is_named(self, a):
         with pytest.raises(ParameterError, match="loss parameter a"):
