@@ -182,10 +182,10 @@ def derived_scales(atom: AtomSpecies, fields: ProbeControlFields,
 def dipole_from_gamma(gamma: float, omega_p: float) -> float:
     """Probe-transition dipole moment from its radiative decay rate,
     d_p = sqrt(3 pi eps0 hbar c^3 gamma / omega_p^3)."""
-    if not omega_p > 0:
-        raise ParameterError(f"omega_p must be positive, got {omega_p}")
-    if not gamma >= 0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
+    if not 0 < omega_p < math.inf:
+        raise ParameterError(f"omega_p must be finite and > 0, got {omega_p}")
+    if not 0 <= gamma < math.inf:
+        raise ParameterError(f"gamma must be finite and >= 0, got {gamma}")
     return math.sqrt(gamma * 3.0 * math.pi * epsilon_0 * hbar * c**3 / omega_p**3)
 
 

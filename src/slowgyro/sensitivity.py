@@ -66,9 +66,11 @@ def detector_photons(cross_section: float, density: float, v_rec: float,
     where the shot-noise formula stops being meaningful.
     """
     s = np.asarray(s, dtype=float)
-    if not (cross_section >= 0 and density >= 0 and v_rec >= 0 and t >= 0
-            and xi > 0 and a >= 0 and np.all(s >= 0)):
-        raise ParameterError("detector_photons needs xi > 0, all else >= 0")
+    nonneg = (cross_section, density, v_rec, t, a)
+    if not (all(0 <= x < math.inf for x in nonneg) and 0 < xi < math.inf
+            and np.all((0 <= s) & (s < math.inf))):
+        raise ParameterError("detector_photons needs finite arguments, "
+                             "xi > 0 and all else >= 0")
     n_d = cross_section * density * v_rec * t * xi * s * math.exp(-2.0 * a / xi)
     low = int(np.count_nonzero(n_d < 1.0))
     if low:
@@ -91,10 +93,11 @@ def snr(rotation_rate: float, area: float, cross_section: float,
         density: float, v_rec: float, t: float, s: float, xi: float,
         a: float, mass: float) -> float:
     """Matter-wave signal-to-noise ratio of the uniform-medium estimate."""
-    if not (area > 0 and cross_section > 0 and density > 0 and v_rec > 0
-            and t > 0 and mass > 0 and s >= 0 and xi > 0 and a >= 0):
-        raise ParameterError("snr needs s, a >= 0; area, F, rho, v_rec, t, "
-                             "xi, mass > 0")
+    positive = (area, cross_section, density, v_rec, t, xi, mass)
+    if not (math.isfinite(rotation_rate) and 0 <= s < math.inf
+            and 0 <= a < math.inf and all(0 < x < math.inf for x in positive)):
+        raise ParameterError("snr needs finite arguments, s, a >= 0 and area, "
+                             "F, rho, v_rec, t, xi, mass > 0")
     flux = math.sqrt(cross_section * density * v_rec * t)
     return (rotation_rate * area * mass / hbar) * flux * shape_factor(s, xi, a)
 

@@ -5,16 +5,18 @@ is rebuilt column by column from its action on the basis matrices, the
 steady state is cross-checked by matrix-exponential time evolution, the SNR optimum by a
 brute grid plus a scipy polish, quadratures by closed forms, the loss bound
 by the exact power-dependent absorption, the detector count by the raw beam
-power.  They share only the package's physical constants.
+power, the thermal winding number by a 40-digit direct Boltzmann sum.  They
+share only the package's physical constants.
 """
 
+import decimal
 import math
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from slowgyro._constants import c, epsilon_0, hbar
+from slowgyro._constants import c, epsilon_0, hbar, k_B
 from slowgyro.sensitivity import shape_factor
 
 
@@ -124,3 +126,27 @@ def detector_photons_from_power(rabi_p0, dipole_p, cross_section, omega_p,
         * (hbar * rabi_p0 / dipole_p) ** 2
     return power_flux / (hbar * omega_p) * t \
         * math.exp(-2.0 * kappa * medium_length)
+
+
+def boltzmann_mean_decimal(rotation_rate, radius, mass, temperature):
+    """Thermal mean winding number <n> as a Decimal: a direct sum of the
+    Boltzmann weights exp(-(eps_n - eps_c) / k_B T) of the mode energies
+    eps_n = n hbar Omega + n^2 hbar^2 / (2 m R^2) at 40 significant digits,
+    over c +- (12 sigma + 10), c = round(n_0), sigma^2 = k_B T m R^2 / hbar^2.
+    The float inputs enter exactly; offsets n - c keep the sum from
+    cancelling, and Decimal exponents do not underflow."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        omega, r, m, h = (decimal.Decimal(x) for x in
+                          (rotation_rate, radius, mass, hbar))
+        kt = decimal.Decimal(k_B) * decimal.Decimal(temperature)
+        kinetic = h * h / (2 * m * r * r)
+        c = int((-m * omega * r * r / h).to_integral_value())
+        half = int(12 * (kt / (2 * kinetic)).sqrt()) + 10
+        num = den = decimal.Decimal(0)
+        for j in range(-half, half + 1):
+            w = (-(j * h * omega + ((c + j) ** 2 - c * c) * kinetic)
+                 / kt).exp()
+            num += j * w
+            den += w
+        return c + num / den

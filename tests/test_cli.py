@@ -904,6 +904,10 @@ def test_propagation_import_loads_no_command_layer():
     assert "slowgyro.bloch" not in loaded
 
 
+def test_ringmodes_import_leaves_numpy_unloaded():
+    assert "numpy" not in _loaded_modules("import slowgyro.ringmodes")
+
+
 def test_every_exported_name_exists():
     for info in pkgutil.iter_modules(slowgyro.__path__):
         module = importlib.import_module(f"slowgyro.{info.name}")

@@ -204,7 +204,7 @@ def test_range_checks_refuse_nan(cls, name, value):
 
 V_REC_NA = 2.9468e-2
 # valid arguments of each library call with a domain check, and the
-# arguments that a NaN must make it refuse
+# arguments that a NaN or an infinity must make it refuse
 CALLS = {
     detector_photons: (dict(cross_section=1e-6, density=1e20, v_rec=V_REC_NA,
                             t=1.0, xi=2.0, s=0.5, a=1.0),
@@ -213,8 +213,8 @@ CALLS = {
     snr: (dict(rotation_rate=1e-6, area=1e-5, cross_section=1e-6,
                density=1e20, v_rec=V_REC_NA, t=1.0, s=1 / 3, xi=10.0, a=5.0,
                mass=NA23.mass),
-          ["area", "cross_section", "density", "v_rec", "t", "mass", "s",
-           "xi", "a"]),
+          ["rotation_rate", "area", "cross_section", "density", "v_rec", "t",
+           "mass", "s", "xi", "a"]),
     omega_min: (dict(area=1e-5, cross_section=1e-6, density=1e20,
                      v_rec=V_REC_NA, t=1.0, a=2.9, mass=NA23.mass),
                 ["area", "cross_section", "density", "v_rec", "t", "mass"]),
@@ -224,10 +224,11 @@ CALLS = {
     case_study: (dict(name="gupta", t=1.0), ["t"]),
     thermal_phase: (dict(rotation_rate=7.29e-5, radius=48e-3, mass=RB87.mass,
                          temperature=1e-6),
-                    ["radius", "mass", "temperature"]),
+                    ["rotation_rate", "radius", "mass", "temperature"]),
     boltzmann_mean_winding: (dict(rotation_rate=7.29e-5, radius=1.5e-3,
                                   mass=RB87.mass, temperature=1e-9),
-                             ["radius", "mass", "temperature"]),
+                             ["rotation_rate", "radius", "mass",
+                              "temperature"]),
     dipole_from_gamma: (dict(gamma=3.81e7, omega_p=2.414e15),
                         ["gamma", "omega_p"]),
 }
@@ -235,12 +236,16 @@ CALLS = {
 
 @pytest.mark.parametrize(
     "call,name,value",
-    [(call, name, math.nan) for call, (_, refused) in CALLS.items()
-     for name in refused]
-    + [(thermal_phase, "radius", 0.0), (thermal_phase, "mass", -RB87.mass)],
+    [(call, name, value) for call, (_, refused) in CALLS.items()
+     for name in refused for value in (math.nan, math.inf, -math.inf)]
+    + [(thermal_phase, "radius", 0.0), (thermal_phase, "mass", -RB87.mass)]
+    # n_0 overflows, or k_B T m R^2 / hbar^2 underflows
+    + [(thermal_phase, "radius", 1e200),
+       (boltzmann_mean_winding, "radius", 1e-200)],
     ids=lambda v: v.__name__ if callable(v) else str(v))
 def test_library_calls_refuse_nan(call, name, value):
-    # the library functions refuse what the CLI refuses, NaN included
+    # the library functions refuse what the CLI refuses, NaN and +-inf
+    # included
     kwargs = CALLS[call][0]
     call(**kwargs)
     with pytest.raises(ParameterError):

@@ -1,11 +1,13 @@
 import math
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.constants import hbar, k as k_B
 
-from slowgyro import ringmodes
+from _oracles import boltzmann_mean_decimal
 from slowgyro.errors import ParameterError, ThermalRegimeWarning
 from slowgyro.params import NA23, RB87
 from slowgyro.ringmodes import (MediumPreparation, Preparation,
@@ -63,46 +65,35 @@ class TestModeEnergy:
             boltzmann_mean_winding(0.0, 1.5e-3, -MASS, 1e-6)
 
 
-class TestBoltzmannWindow:
-    """The one window n_0 +- max(10, ceil(12 sigma)) that
-    boltzmann_mean_winding sums, sigma = sqrt(k_B T m) R / hbar."""
+class TestExactMean:
+    """boltzmann_mean_winding against a 40-digit direct Boltzmann sum,
+    v = k_B T m R^2 / hbar^2 = sigma^2 = half the temperature in level
+    spacings hbar^2 / (2 m R^2)."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(mass=st.sampled_from([RB87.mass, NA23.mass]),
-           radius=st.floats(-4, -1), omega=st.floats(-7, -1),
+           radius=st.floats(-4, -1), omega=st.floats(-9, -1),
            sign=st.sampled_from([-1.0, 1.0]),
-           twelve_sigma=st.floats(-1, 5))
-    def test_edge_weights_negligible(self, mass, radius, omega, sign,
-                                     twelve_sigma):
-        # the window's edge weights are below 1e-15 of its sum, so a wider
-        # window would not change the mean; half-windows up to 1e5 drawn
-        # as decimal exponents, the weights read off the one np.exp call
+           spacings=st.floats(-3, math.log10(1800)))
+    def test_matches_decimal_sum(self, mass, radius, omega, sign, spacings):
+        # up to sigma = 30; a mean below 1e-280 may underflow
         radius, omega = 10.0**radius, sign * 10.0**omega
-        sigma = 10.0**twelve_sigma / 12.0
-        temp = (sigma * hbar / radius) ** 2 / mass / k_B
-        seen, real_exp = [], np.exp
+        spacing = hbar**2 / (2 * mass * radius**2)
+        temp = 10.0**spacings * spacing / k_B
+        ref = boltzmann_mean_decimal(omega, radius, mass, temp)
+        mean = boltzmann_mean_winding(omega, radius, mass, temp)
+        rel = Decimal("2e-15" if 10.0**spacings >= 2 else "1e-12")
+        assert abs(Decimal(mean) - ref) <= rel * abs(ref) + Decimal("1e-280")
 
-        def exp(x):
-            seen.append(real_exp(x))
-            return seen[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ringmodes.np, "exp", exp)
-            boltzmann_mean_winding(omega, radius, mass, temp)
-        [w] = seen
-        assert w.size <= 2 * 10**5 + 1
-        assert w[0] + w[-1] <= 1e-15 * w.sum()
-
-    @pytest.mark.parametrize("temp", [1e-2, 1.0, math.inf])
-    def test_wide_window_refused_before_any_array(self, monkeypatch, temp):
-        # on a 1.5 mm ring 12 sigma is 7.6e6 winding numbers at 1 mK, so
-        # 10 mK and up need a half-window over 1e7; no array may be built
-        def arange(*args, **kwargs):
-            raise AssertionError("array built")
-
-        monkeypatch.setattr(ringmodes.np, "arange", arange)
-        with pytest.raises(ParameterError, match="thermal_phase"):
-            boltzmann_mean_winding(EARTH, 1.5e-3, MASS, temp)
+    def test_wide_gaussian_near_zero(self):
+        # sigma = 350, n_0 = 1e-6: a float sum of n * w over +-12 sigma
+        # modes cancels down to ~3e-9 relative here
+        radius = 1.5e-3
+        omega = -1e-6 * hbar / (MASS * radius**2)
+        temp = (350 * hbar / radius) ** 2 / MASS / k_B
+        ref = boltzmann_mean_decimal(omega, radius, MASS, temp)
+        mean = boltzmann_mean_winding(omega, radius, MASS, temp)
+        assert abs(Decimal(mean) - ref) <= Decimal("2e-15") * abs(ref)
 
 
 class TestNMin:
@@ -160,9 +151,18 @@ class TestThermalPhase:
     def test_warns_when_too_cold(self):
         radius = 48e-3
         spacing = hbar**2 / (2 * MASS * radius**2)
-        cold = 10 * spacing / k_B
         with pytest.warns(ThermalRegimeWarning):
-            thermal_phase(EARTH, radius, MASS, cold)
+            thermal_phase(EARTH, radius, MASS, spacing / k_B)
+
+    @pytest.mark.parametrize("omega,spacings", [(EARTH, 10.0), (0.0, 1e-3)])
+    def test_silent_where_closed_form_exact(self, omega, spacings):
+        # from 10 level spacings <n> is n_0 in float64; at Omega = 0 the
+        # phase is exactly 0 at any temperature
+        radius = 48e-3
+        spacing = hbar**2 / (2 * MASS * radius**2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ThermalRegimeWarning)
+            thermal_phase(omega, radius, MASS, spacings * spacing / k_B)
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ParameterError):
@@ -215,3 +215,9 @@ class TestPreparationGate:
     def test_thermal_needs_temperature(self):
         with pytest.raises(ParameterError):
             MediumPreparation(Preparation.THERMAL_RING)
+
+    @pytest.mark.parametrize("kind", list(Preparation))
+    @pytest.mark.parametrize("temp", [math.nan, math.inf, -1e-9])
+    def test_temperature_finite_and_nonnegative(self, kind, temp):
+        with pytest.raises(ParameterError):
+            MediumPreparation(kind, temperature=temp)
