@@ -48,46 +48,22 @@ __all__ = [
 _EYE3 = np.eye(3)
 _TRACE_ROW = _EYE3.reshape(9)
 
-_HERM_TOL = 1e-10
+_TOL = 1e-10  # hermiticity, trace and population tolerance, relative to n
 
 
 @dataclass
 class DensityMatrix:
-    """3x3 complex density matrix normalized to trace = norm."""
+    """3x3 complex density matrix normalized to trace = norm, with the
+    residuals steady_state checked it against."""
 
-    rho: np.ndarray  # (3,3) complex
+    rho: np.ndarray  # (3,3) complex, Hermitian
     norm: float
-    # max|rho - rho^dagger| of steady_state's solve before symmetrising
-    hermiticity_residual: float = 0.0
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.shape != (3, 3):
-            raise ParameterError(f"rho must be 3x3, got {self.rho.shape}")
-
-    def validate(self):
-        """Check hermiticity, trace and diagonal reality; raises on violation
-        beyond the 1e-10 tolerances.  A negative population beyond the same
-        tolerance only warns: it is a safety check on the solve's output,
-        which no randomized parameter draw of the test suite trips."""
-        scale = max(abs(self.norm), 1e-300)
-        herm = max(self.hermiticity_residual,
-                   np.abs(self.rho - self.rho.conj().T).max())
-        if herm > _HERM_TOL * scale:
-            raise ParameterError(f"density matrix not hermitian: residual {herm:.3e}")
-        tr = self.rho.trace()
-        if abs(tr - self.norm) > _HERM_TOL * scale:
-            raise ParameterError(f"trace {tr} != norm {self.norm}")
-        diag = np.diag(self.rho)
-        if np.abs(diag.imag).max() > _HERM_TOL * scale:
-            raise ParameterError("diagonal entries are not real")
-        if diag.real.min() < -_HERM_TOL * scale:
-            warnings.warn(
-                f"steady state carries a negative population "
-                f"({diag.real.min():.3e}) beyond roundoff; treat it as "
-                "suspect",
-                NonpositiveStateWarning, stacklevel=2)
-        return self
+    # max|rho - rho^dagger| of the solve before symmetrising
+    hermiticity_residual: float
+    # |M vec rho| / (|M| |vec rho|)
+    generator_residual: float
+    # |tr rho - norm|
+    trace_residual: float
 
 
 @dataclass
@@ -139,10 +115,14 @@ def steady_state(gen: BlochGenerator, n: float = 1.0) -> DensityMatrix:
     """Steady state of M under the trace constraint sum rho_mumu = n.
 
     Solves M vec(rho) = 0 with the rho33 row, which the other two
-    population rows determine, replaced by the trace row.  Raises
+    population rows determine, replaced by the trace row, and returns the
+    Hermitian part with the residuals of the solve.  Raises
     DegenerateSteadyStateError naming the null-space dimension when the
     constrained system is singular (for example with all decay switched
-    off and no probe, where dark subspaces are degenerate).
+    off and no probe, where dark subspaces are degenerate), or when the
+    generator residual exceeds 1e-9 or the hermiticity or trace residual
+    exceeds 1e-10*|n|.  Warns NonpositiveStateWarning when a population
+    lies below -1e-10*|n|.
     """
     a = gen.m.copy()
     scale = np.abs(a).max()  # trace row on M's scale: trace exact to roundoff
@@ -153,15 +133,25 @@ def steady_state(gen: BlochGenerator, n: float = 1.0) -> DensityMatrix:
         vec = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         raise DegenerateSteadyStateError(_null_dimension(a)) from None
-    residual = np.linalg.norm(a @ vec - rhs)
-    bound = np.linalg.norm(a) * np.linalg.norm(vec) + np.linalg.norm(rhs)
-    if bound > 0 and not residual <= 1e-9 * bound:
-        raise DegenerateSteadyStateError(
-            _null_dimension(a),
-            f"ill-conditioned steady-state solve (residual {residual:.3e})")
 
     rho = vec.reshape(3, 3)
     herm = float(np.abs(rho - rho.conj().T).max())
     # scrub solver roundoff so the invariants hold exactly where they should
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho=rho, norm=n, hermiticity_residual=herm).validate()
+    vec = rho.reshape(9)
+    generator = float(np.linalg.norm(gen.m @ vec) / max(
+        np.linalg.norm(gen.m) * np.linalg.norm(vec), 1e-300))
+    trace = float(abs(rho.trace() - n))
+    tol = _TOL * max(abs(n), 1e-300)
+    if not (generator <= 1e-9 and herm <= tol and trace <= tol):
+        raise DegenerateSteadyStateError(
+            _null_dimension(a),
+            f"ill-conditioned steady-state solve: generator residual "
+            f"{generator:.3e}, hermiticity residual {herm:.3e}, trace "
+            f"residual {trace:.3e}")
+    low = rho.diagonal().real.min()
+    if low < -tol:
+        warnings.warn(f"steady state carries a negative population "
+                      f"({low:.3e}) beyond roundoff; treat it as suspect",
+                      NonpositiveStateWarning, stacklevel=2)
+    return DensityMatrix(rho, n, herm, generator, trace)

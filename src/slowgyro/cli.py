@@ -292,16 +292,13 @@ def cmd_steady_state(config: RunConfig, env: ResultEnvelope):
                           config.geometry.rotation_rate,
                           config.geometry.radius, config.fields.k_p)
     rho = steady_state(gen, n=1.0)
-    vec = rho.rho.reshape(9)
-    residual = float(np.linalg.norm(gen.m @ vec)
-                     / max(np.linalg.norm(gen.m) * np.linalg.norm(vec), 1e-300))
     env.add("rho_real", [[float(v.real) for v in row] for row in rho.rho],
             "dimensionless (trace normalized to 1)")
     env.add("rho_imag", [[float(v.imag) for v in row] for row in rho.rho],
             "dimensionless")
     env.add("hermiticity_residual", rho.hermiticity_residual, "dimensionless")
-    env.add("trace_residual", float(abs(rho.rho.trace() - 1.0)), "dimensionless")
-    env.add("generator_residual", residual, "dimensionless")
+    env.add("trace_residual", rho.trace_residual, "dimensionless")
+    env.add("generator_residual", rho.generator_residual, "dimensionless")
     env.add("excited_population", float(rho.rho[1, 1].real), "dimensionless")
     env.assumptions.append("density matrix normalized to unit trace")
 
@@ -649,36 +646,37 @@ def _run(argv) -> int:
 
     env = (ResultEnvelope(label.split()[0], {}, {})
            if spec.output == "envelope" else None)
+    to_stderr = fmt == "csv"  # a JSON envelope lists warnings and notes
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         try:
             spec.run(*args, text if env is None else env, **given)
         except BaseException:
-            env = None  # a failed command reports its warnings on stderr
+            to_stderr = True  # a failed command reports its warnings on stderr
             raise
         finally:
             captured = [f"{w.category.__name__}: {w.message}" for w in records]
-            if env is None:
+            if to_stderr:
                 for line in captured:
                     print(f"warning: {line}", file=sys.stderr)
 
     notes = [f"set but not read by slowgyro {label}, so not echoed: "
              f"{', '.join(unread)}"] if unread else []
-    if env is None:
+    if to_stderr:
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
-    elif spec.keys:
-        env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
-        by_source = {}  # one provenance line per source of the keys read
-        for k in sorted(spec.keys & config.sources.keys()):
-            by_source.setdefault(config.sources[k], []).append(k)
-        env.assumptions += [f"{', '.join(keys)}: {source}"
-                            for source, keys in by_source.items()]
-    else:  # a command without a config echoes the flags it ran with
-        bound = inspect.signature(spec.run).bind_partial(**given)
-        bound.apply_defaults()
-        env.inputs = dict(bound.arguments)
     if env is not None:
+        if spec.keys:
+            env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
+            by_source = {}  # one provenance line per source of the keys read
+            for k in sorted(spec.keys & config.sources.keys()):
+                by_source.setdefault(config.sources[k], []).append(k)
+            env.assumptions += [f"{', '.join(keys)}: {source}"
+                                for source, keys in by_source.items()]
+        else:  # a command without a config echoes the flags it ran with
+            bound = inspect.signature(spec.run).bind_partial(**given)
+            bound.apply_defaults()
+            env.inputs = dict(bound.arguments)
         env.assumptions += [f"profile written to {p}" for flag, p, _ in files
                             if flag == "--profile-out"] + notes
         env.warnings = captured

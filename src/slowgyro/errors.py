@@ -11,9 +11,10 @@ class DegenerateEITError(ParameterError):
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The constrained Bloch system is singular: the steady state is not
-    unique.  Carries the dimension of the null space of the constrained
-    system."""
+    """The constrained Bloch system is singular, so the steady state is not
+    unique, or so ill-conditioned that the solve misses its generator,
+    hermiticity or trace residual bound.  Carries the dimension of the
+    null space of the constrained system."""
 
     def __init__(self, null_dim: int, message: str = ""):
         self.null_dim = null_dim
@@ -71,7 +72,8 @@ class ThermalRegimeWarning(UserWarning):
 
 
 class NonpositiveStateWarning(UserWarning):
-    """A density matrix carries a negative population beyond roundoff.
-    DensityMatrix.validate raises it as a safety check on solver output;
-    the Bloch steady state, built from a Hermitian Hamiltonian and the
-    decay rates, has not been seen to trip it."""
+    """A steady state carries a population below -1e-10 of its trace.
+    bloch.steady_state warns it on a solve that passed its residual
+    checks.  No draw of the test suite's parameter ranges trips it; a
+    ground-coherence dephasing far above the excited-state decay can
+    (-8.5e-3 at gamma13 = 2.9e7 /s, gamma1 + gamma3 = 28 /s)."""

@@ -84,6 +84,12 @@ def shape_factor(s, xi, a):
     """Dimensionless SNR factor g(s, xi; a); accepts arrays."""
     s = np.asarray(s, dtype=float)
     xi = np.asarray(xi, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if not (np.all((0 <= s) & (s < math.inf))
+            and np.all((0 < xi) & (xi < math.inf))
+            and np.all((0 <= a) & (a < math.inf))):
+        raise ParameterError("shape_factor needs finite s, xi, a with "
+                             "s, a >= 0 and xi > 0")
     val = (np.sqrt(xi * s) * (1.0 + s) * np.exp(-a / xi)
            / (xi * (1.0 + s) ** 3 + 1.0))
     return val if val.ndim else float(val)
@@ -93,11 +99,11 @@ def snr(rotation_rate: float, area: float, cross_section: float,
         density: float, v_rec: float, t: float, s: float, xi: float,
         a: float, mass: float) -> float:
     """Matter-wave signal-to-noise ratio of the uniform-medium estimate."""
-    positive = (area, cross_section, density, v_rec, t, xi, mass)
-    if not (math.isfinite(rotation_rate) and 0 <= s < math.inf
-            and 0 <= a < math.inf and all(0 < x < math.inf for x in positive)):
-        raise ParameterError("snr needs finite arguments, s, a >= 0 and area, "
-                             "F, rho, v_rec, t, xi, mass > 0")
+    positive = (area, cross_section, density, v_rec, t, mass)
+    if not (math.isfinite(rotation_rate)
+            and all(0 < x < math.inf for x in positive)):
+        raise ParameterError("snr needs finite arguments and area, F, rho, "
+                             "v_rec, t, mass > 0")
     flux = math.sqrt(cross_section * density * v_rec * t)
     return (rotation_rate * area * mass / hbar) * flux * shape_factor(s, xi, a)
 

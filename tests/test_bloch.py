@@ -7,7 +7,7 @@ from scipy.constants import c, hbar
 
 from _oracles import (absorption_exact, evolve_to_steady,
                       liouvillian_by_basis, random_lambda_params)
-from slowgyro.bloch import DensityMatrix, build_generator, steady_state
+from slowgyro.bloch import BlochGenerator, build_generator, steady_state
 from slowgyro.errors import (DegenerateEITError, DegenerateSteadyStateError,
                              NonpositiveStateWarning, ParameterError)
 from slowgyro.params import RB87, AtomSpecies
@@ -218,11 +218,16 @@ class TestSteadyState:
         assert err.value.null_dim == 2
 
 
-class TestDensityMatrix:
-    def test_validate_warns_on_negative_population(self):
-        rho = DensityMatrix(np.diag([1.1, 0.0, -0.1]), norm=1.0)
-        with pytest.warns(NonpositiveStateWarning, match="-1.000e-01"):
-            assert rho.validate() is rho
+    def test_warns_on_negative_population(self):
+        # M = I - v v^dagger / |v|^2 has the one null vector v, a state of
+        # unit trace with a population of -0.1: returned, with a warning
+        v = np.diag([1.1, 0.0, -0.1]).astype(complex).reshape(9)
+        gen = BlochGenerator(np.eye(9) - np.outer(v, v.conj()) / (v @ v))
+        with pytest.warns(NonpositiveStateWarning, match=r"\(-1\.000e-01\)"):
+            rho = steady_state(gen, n=1.0)
+        assert np.abs(rho.rho.reshape(9) - v).max() <= 1e-15
+        assert rho.generator_residual <= 1e-15
+        assert rho.trace_residual <= 1e-15
 
 
 class TestCoherence:

@@ -119,6 +119,22 @@ class TestSteadyState:
         assert code == 2
         assert "null space" in err
 
+    def test_ill_conditioned_exit_code(self, tmp_path, capsys):
+        # rates ~1 /s against delta2 = 2e11 rad/s: the solve is Hermitian
+        # only to ~1.5e-6, a numerical failure
+        path = tmp_path / "ill.json"
+        path.write_text(json.dumps({
+            "atom.gamma1_per_s": 1, "atom.gamma3_per_s": 13,
+            "atom.gamma13_per_s": 500, "fields.rabi_p0_rad_s": 15,
+            "fields.rabi_c_rad_s": 0.0016, "fields.delta2_rad_s": 2e11,
+            "fields.delta3_rad_s": 0.32}))
+        code, out, err = run(["steady-state", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            r"numerical failure: ill-conditioned steady-state solve: "
+            r"generator residual \S+, hermiticity residual 1\.5\d\de-06, "
+            r"trace residual \S+\n", err)
+
 
 class TestPhase:
     def test_zero_rotation_zero_phases(self, tmp_path, capsys):
@@ -653,14 +669,16 @@ def test_unread_key_named_and_not_echoed(tmp_path, capsys):
 
 
 def test_sweep_names_unread_keys_on_stderr(tmp_path, capsys):
+    # CSV output has nowhere to list a note, so it goes to stderr
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"fields.rabi_p0_rad_s": 5e7,
                                 "grid.n_points": 128}))
-    code, out, err = run(["snr-sweep", "--config", str(path)], capsys)
-    assert code == 0
-    assert err == ("note: set but not read by slowgyro snr-sweep, so not "
-                   "echoed: fields.rabi_p0_rad_s, grid.n_points\n")
-    assert (0, out, "") == run(["snr-sweep"], capsys)
+    for argv in (["snr-sweep"], ["omega-min", "--format", "csv"]):
+        code, out, err = run(argv + ["--config", str(path)], capsys)
+        assert code == 0
+        assert err == (f"note: set but not read by slowgyro {argv[0]}, so "
+                       "not echoed: fields.rabi_p0_rad_s, grid.n_points\n")
+        assert (0, out, "") == run(argv, capsys)
 
 
 def _provenance(assumptions):
@@ -923,11 +941,20 @@ class TestModelDomainWarnings:
 
     def test_detuned_phase_warns(self, tmp_path, capsys):
         path = write_config(tmp_path, {"fields.delta2_rad_s": 1e6})
-        code, out, _ = run(["phase", "--config", path], capsys)
-        assert code == 0
-        warned = json.loads(out)["warnings"]
-        assert len(warned) == 1
-        assert warned[0].startswith("EITConditionWarning: ")
+        code, out, err = run(["phase", "--config", path], capsys)
+        assert (code, err) == (0, "")
+        env = json.loads(out)
+        [warning] = env["warnings"]
+        assert warning.startswith("EITConditionWarning: ")
+        # CSV rows have nowhere to list it: the same rows, and it on stderr
+        code, out, err = run(["phase", "--config", path, "--format", "csv"],
+                             capsys)
+        assert (code, err) == (0, f"warning: {warning}\n")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["name", "value", "unit"]
+        assert {name: (json.loads(value), unit) for name, value, unit
+                in rows[1:]} == {name: (entry["value"], entry["unit"])
+                                 for name, entry in env["results"].items()}
 
     def test_weak_control_warns(self, tmp_path, capsys):
         path = write_config(tmp_path, {"fields.rabi_c_rad_s": 1e6,

@@ -15,7 +15,7 @@ from slowgyro.propagation import PropagationGrid
 from slowgyro.ringmodes import (MediumPreparation, Preparation,
                                 boltzmann_mean_winding, thermal_phase)
 from slowgyro.sensitivity import (case_study, detector_photons, omega_min,
-                                  sensitivity_budget, snr)
+                                  sensitivity_budget, shape_factor, snr)
 
 
 def fields_for(lambda_p, rabi_p0=1e5, rabi_c=1e6, k_c_parallel=0.0):
@@ -210,6 +210,7 @@ CALLS = {
                             t=1.0, xi=2.0, s=0.5, a=1.0),
                        ["cross_section", "density", "v_rec", "t", "xi", "s",
                         "a"]),
+    shape_factor: (dict(s=1 / 3, xi=10.0, a=5.0), ["s", "xi", "a"]),
     snr: (dict(rotation_rate=1e-6, area=1e-5, cross_section=1e-6,
                density=1e20, v_rec=V_REC_NA, t=1.0, s=1 / 3, xi=10.0, a=5.0,
                mass=NA23.mass),
