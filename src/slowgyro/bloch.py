@@ -17,10 +17,11 @@ M rho = -i[H, rho] + L(rho), with the rotating-frame Hamiltonian
     H = | rabi_p -(delta2 + D_rot)    rabi_c             |
         | 0      rabi_c*              -(delta3 + D_rot)  |
 
-and the dissipator L: level 2 decays at gamma2 = gamma1 + gamma3, feeding
-rho11 at gamma1 and rho33 at gamma3; the optical coherences rho12, rho23
-decay at gamma2/2 and the ground coherence rho13 at gamma13, each with its
-conjugate.
+and the Lindblad dissipator L = sum_k D[L_k], D[L] rho = L rho L^dagger -
+{L^dagger L, rho}/2, of the jumps sqrt(gamma1)|1><2| and sqrt(gamma3)|3><2|
+(level 2 decays at gamma2 = gamma1 + gamma3) and sqrt(gamma13/2)(|1><1| -
+|3><3|), which damps rho13 at gamma13 and the optical coherences rho12,
+rho23 at gamma2/2 + gamma13/4, each with its conjugate.
 
 Vectorization order is fixed as
     (rho11, rho12, rho13, rho21, rho22, rho23, rho31, rho32, rho33)
@@ -29,13 +30,12 @@ becomes -i(H x 1 - 1 x H^T) vec(rho).
 """
 
 import cmath
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateEITError, DegenerateSteadyStateError,
-                     NonpositiveStateWarning, ParameterError)
+                     ParameterError)
 from .params import AtomSpecies
 
 __all__ = [
@@ -48,7 +48,19 @@ __all__ = [
 _EYE3 = np.eye(3)
 _TRACE_ROW = _EYE3.reshape(9)
 
-_TOL = 1e-10  # hermiticity, trace and population tolerance, relative to n
+_TOL = 1e-10  # hermiticity, trace and eigenvalue tolerance, relative to n
+
+
+def _dissipator(j: np.ndarray) -> np.ndarray:
+    """D[j] of a real jump j, row-major: vec(A X B) = (A x B^T) vec(X)."""
+    jdj = j.T @ j
+    return np.kron(j, j) - 0.5 * (np.kron(jdj, _EYE3) + np.kron(_EYE3, jdj))
+
+
+# unit-rate D[L] of L = |1><2|, |3><2| and |1><1| - |3><3|
+_DECAY1, _DECAY3, _DEPHASE = map(_dissipator, (
+    np.outer(_EYE3[0], _EYE3[1]), np.outer(_EYE3[2], _EYE3[1]),
+    np.diag([1.0, 0.0, -1.0])))
 
 
 @dataclass
@@ -82,11 +94,11 @@ def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
 
     rabi_p and rabi_c may be complex; rabi_c must be nonzero for the medium
     to be dressed at all.  v_rec sets the transport drift, which M leaves
-    out (see the module docstring), so it changes nothing here.
+    out (see the module docstring), so it changes nothing here.  gamma13
+    is the rate of the dephasing jump sqrt(gamma13/2)(|1><1| - |3><3|).
     """
     if rabi_c == 0:
         raise DegenerateEITError("control field is zero: no EIT dressing")
-    g2, g13 = atom.gamma2, atom.gamma13
     op, oc = complex(rabi_p), complex(rabi_c)
     doppler = rotation_rate * radius * k_p
     if not all(map(cmath.isfinite, (delta2, delta3, doppler, op, oc))):
@@ -97,10 +109,8 @@ def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
                   [0.0, oc.conjugate(), -(delta3 + doppler)]])
 
     m = -1j * (np.kron(h, _EYE3) - np.kron(_EYE3, h.T))
-    m -= np.diag([0.0, 0.5 * g2, g13, 0.5 * g2, g2, 0.5 * g2, g13, 0.5 * g2,
-                  0.0])
-    m[0, 4] += atom.gamma1
-    m[8, 4] += atom.gamma3
+    m += atom.gamma1 * _DECAY1 + atom.gamma3 * _DECAY3
+    m += 0.5 * atom.gamma13 * _DEPHASE
     return BlochGenerator(m=m)
 
 
@@ -121,8 +131,7 @@ def steady_state(gen: BlochGenerator, n: float = 1.0) -> DensityMatrix:
     constrained system is singular (for example with all decay switched
     off and no probe, where dark subspaces are degenerate), or when the
     generator residual exceeds 1e-9 or the hermiticity or trace residual
-    exceeds 1e-10*|n|.  Warns NonpositiveStateWarning when a population
-    lies below -1e-10*|n|.
+    or minus rho's smallest eigenvalue exceeds 1e-10*|n|.
     """
     a = gen.m.copy()
     scale = np.abs(a).max()  # trace row on M's scale: trace exact to roundoff
@@ -142,16 +151,13 @@ def steady_state(gen: BlochGenerator, n: float = 1.0) -> DensityMatrix:
     generator = float(np.linalg.norm(gen.m @ vec) / max(
         np.linalg.norm(gen.m) * np.linalg.norm(vec), 1e-300))
     trace = float(abs(rho.trace() - n))
+    finite = np.isfinite(rho).all()  # eigvalsh diverges on an overflowed solve
+    low = float(np.linalg.eigvalsh(rho)[0]) if finite else np.nan
     tol = _TOL * max(abs(n), 1e-300)
-    if not (generator <= 1e-9 and herm <= tol and trace <= tol):
+    if not (generator <= 1e-9 and max(herm, trace, -low) <= tol):
         raise DegenerateSteadyStateError(
             _null_dimension(a),
             f"ill-conditioned steady-state solve: generator residual "
             f"{generator:.3e}, hermiticity residual {herm:.3e}, trace "
-            f"residual {trace:.3e}")
-    low = rho.diagonal().real.min()
-    if low < -tol:
-        warnings.warn(f"steady state carries a negative population "
-                      f"({low:.3e}) beyond roundoff; treat it as suspect",
-                      NonpositiveStateWarning, stacklevel=2)
+            f"residual {trace:.3e}, smallest eigenvalue {low:.3e}")
     return DensityMatrix(rho, n, herm, generator, trace)

@@ -13,7 +13,8 @@ class DegenerateEITError(ParameterError):
 class DegenerateSteadyStateError(RuntimeError):
     """The constrained Bloch system is singular, so the steady state is not
     unique, or so ill-conditioned that the solve misses its generator,
-    hermiticity or trace residual bound.  Carries the dimension of the
+    hermiticity or trace residual bound or answers a rho with an
+    eigenvalue below -1e-10 of its trace.  Carries the dimension of the
     null space of the constrained system."""
 
     def __init__(self, null_dim: int, message: str = ""):
@@ -73,7 +74,6 @@ class ThermalRegimeWarning(UserWarning):
 
 class NonpositiveStateWarning(UserWarning):
     """A steady state carries a population below -1e-10 of its trace.
-    bloch.steady_state warns it on a solve that passed its residual
-    checks.  No draw of the test suite's parameter ranges trips it; a
-    ground-coherence dephasing far above the excited-state decay can
-    (-8.5e-3 at gamma13 = 2.9e7 /s, gamma1 + gamma3 = 28 /s)."""
+    Nothing raises it: bloch.steady_state refuses such a state with
+    DegenerateSteadyStateError.  It stays importable for warning filters
+    that name it."""

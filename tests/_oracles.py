@@ -23,13 +23,14 @@ from slowgyro.sensitivity import shape_factor
 def liouvillian_by_basis(gamma1, gamma3, gamma13, rabi_p, rabi_c,
                          delta2=0.0, delta3=0.0):
     """The 9x9 Bloch generator in the row-major vec order, built by
-    applying -i[H, E] plus the dissipator to each basis matrix E.  Decay of
-    level 2 is the Lindblad form of the jump operators sqrt(gamma1)|1><2|
-    and sqrt(gamma3)|3><2|; gamma13 damps rho13 and rho31 only."""
+    applying -i[H, E] plus the dissipator to each basis matrix E.  The
+    dissipator is the Lindblad form of the jump operators sqrt(gamma1)|1><2|
+    and sqrt(gamma3)|3><2|, the decay of level 2, and of the dephasing
+    operator sqrt(gamma13/2)(|1><1| - |3><3|)."""
     h = np.array([[0.0, np.conj(rabi_p), 0.0],
                   [rabi_p, -delta2, rabi_c],
                   [0.0, np.conj(rabi_c), -delta3]], dtype=complex)
-    jumps = []
+    jumps = [math.sqrt(gamma13 / 2) * np.diag([1.0, 0.0, -1.0])]
     for rate, lower in ((gamma1, 0), (gamma3, 2)):
         jump = np.zeros((3, 3), dtype=complex)
         jump[lower, 1] = math.sqrt(rate)
@@ -41,8 +42,6 @@ def liouvillian_by_basis(gamma1, gamma3, gamma13, rabi_p, rabi_c,
             jdag_j = jump.conj().T @ jump
             out += (jump @ rho @ jump.conj().T
                     - 0.5 * (jdag_j @ rho + rho @ jdag_j))
-        out[0, 2] -= gamma13 * rho[0, 2]
-        out[2, 0] -= gamma13 * rho[2, 0]
         return out
 
     m = np.empty((9, 9), dtype=complex)

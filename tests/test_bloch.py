@@ -9,7 +9,7 @@ from _oracles import (absorption_exact, evolve_to_steady,
                       liouvillian_by_basis, random_lambda_params)
 from slowgyro.bloch import BlochGenerator, build_generator, steady_state
 from slowgyro.errors import (DegenerateEITError, DegenerateSteadyStateError,
-                             NonpositiveStateWarning, ParameterError)
+                             ParameterError)
 from slowgyro.params import RB87, AtomSpecies
 
 GAMMA = 1e7
@@ -18,6 +18,26 @@ GAMMA = 1e7
 def make_atom(gamma1=GAMMA, gamma3=GAMMA, gamma13=0.0):
     return AtomSpecies(mass=RB87.mass, dipole_p=RB87.dipole_p,
                        gamma1=gamma1, gamma3=gamma3, gamma13=gamma13)
+
+
+def strong_dephasing_generator():
+    # ground-coherence dephasing six orders above the decay of level 2: a
+    # dephasing of rho13 alone gave rho11 = -8.5e-3 here
+    atom = make_atom(gamma1=0.354, gamma3=27.2, gamma13=2.91e7)
+    return build_generator(atom, 1.9e7, 2.25e7, delta2=-2.92e7,
+                           delta3=-3.42e9)
+
+
+def min_choi_eigenvalue(m):
+    """Smallest eigenvalue of P C P, C = sum_ij E_ij x M(E_ij) the Choi
+    matrix of M and P the projector off Phi = sum_i |ii>/sqrt(3).  M
+    generates a completely positive evolution iff C is Hermitian and
+    P C P >= 0."""
+    choi = m.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9)
+    phi = np.eye(3).reshape(9) / math.sqrt(3.0)
+    proj = np.eye(9) - np.outer(phi, phi)
+    assert np.abs(choi - choi.conj().T).max() <= 1e-15 * np.abs(m).max()
+    return np.linalg.eigvalsh(proj @ choi @ proj)[0]
 
 
 class TestGeneratorStructure:
@@ -76,6 +96,29 @@ class TestGeneratorStructure:
                              [0.0, -1.1e7, 0.0],
                              [0.0, 8e6, 0.0]], dtype=complex)
         assert np.abs(block - expected).max() == 0.0
+
+    def test_completely_positive_on_random_draws(self):
+        # a dephasing of rho13 alone left an eigenvalue -gamma13/3
+        rng = np.random.default_rng(23)
+        gens = [strong_dephasing_generator()]
+        for gamma in (1e3, 1e7, 1e9):
+            for _ in range(20):
+                p = random_lambda_params(rng, gamma)
+                atom = make_atom(p["gamma1"], p["gamma3"], p["gamma13"])
+                gens.append(build_generator(
+                    atom, p["rabi_p"], p["rabi_c"], p["delta2"], p["delta3"],
+                    rotation_rate=p["doppler"], radius=1.0, k_p=1.0))
+        for gen in gens:
+            assert (min_choi_eigenvalue(gen.m)
+                    >= -1e-12 * np.abs(gen.m).max())
+
+    def test_dephasing_damps_optical_coherences_by_a_quarter(self):
+        # sqrt(gamma13/2)(|1><1| - |3><3|) damps rho13 at gamma13 and
+        # rho12, rho23 at gamma13/4, on top of gamma2/2
+        atom = make_atom(gamma13=4e5)
+        diag = build_generator(atom, 0.0, 1e6).m.diagonal().real
+        assert diag[[2, 6]].tolist() == [-4e5, -4e5]
+        assert diag[[1, 3, 5, 7]].tolist() == [-GAMMA - 1e5] * 4
 
     def test_zero_control_raises(self):
         with pytest.raises(DegenerateEITError):
@@ -187,27 +230,30 @@ class TestSteadyState:
         atom = make_atom(gamma1=1.496e7, gamma3=6.422e6, gamma13=1723.0)
         gen = build_generator(atom, 2.25e7, 1.57e7, delta2=-6.384e7,
                               delta3=-2.807e7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NonpositiveStateWarning)
-            rho = steady_state(gen, n=1.0)
-        assert np.diag(rho.rho).real.min() >= 0.0
+        rho = steady_state(gen, n=1.0)
+        assert np.linalg.eigvalsh(rho.rho)[0] >= 0.0
         rho_t = evolve_to_steady(gen, n=1.0)
         assert np.abs(rho.rho - rho_t).max() <= 1e-8
 
     def test_no_negative_population_on_random_draws(self):
         rng = np.random.default_rng(2024)
         worst = math.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", NonpositiveStateWarning)
-            for _ in range(5000):
-                p = random_lambda_params(rng)
-                atom = make_atom(p["gamma1"], p["gamma3"], p["gamma13"])
-                gen = build_generator(atom, p["rabi_p"], p["rabi_c"],
-                                      p["delta2"], p["delta3"],
-                                      rotation_rate=p["doppler"], radius=1.0,
-                                      k_p=1.0)
-                worst = min(worst, np.diag(steady_state(gen).rho).real.min())
+        for _ in range(5000):
+            p = random_lambda_params(rng)
+            atom = make_atom(p["gamma1"], p["gamma3"], p["gamma13"])
+            gen = build_generator(atom, p["rabi_p"], p["rabi_c"],
+                                  p["delta2"], p["delta3"],
+                                  rotation_rate=p["doppler"], radius=1.0,
+                                  k_p=1.0)
+            worst = min(worst, np.linalg.eigvalsh(steady_state(gen).rho)[0])
         assert worst >= -1e-10
+
+    def test_strong_dephasing_gives_a_density_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = steady_state(strong_dephasing_generator(), n=1.0)
+        assert rho.rho[0, 0].real == pytest.approx(0.32868, rel=1e-4)
+        assert np.linalg.eigvalsh(rho.rho)[0] >= 0.0
 
     def test_degenerate_system_raises_with_null_dimension(self):
         atom = AtomSpecies(mass=RB87.mass, dipole_p=RB87.dipole_p,
@@ -217,17 +263,24 @@ class TestSteadyState:
             steady_state(gen, n=1.0)
         assert err.value.null_dim == 2
 
-
-    def test_warns_on_negative_population(self):
+    def test_refuses_negative_eigenvalue(self):
         # M = I - v v^dagger / |v|^2 has the one null vector v, a state of
-        # unit trace with a population of -0.1: returned, with a warning
+        # unit trace with a population of -0.1: solved to roundoff, but not
+        # a density matrix
         v = np.diag([1.1, 0.0, -0.1]).astype(complex).reshape(9)
         gen = BlochGenerator(np.eye(9) - np.outer(v, v.conj()) / (v @ v))
-        with pytest.warns(NonpositiveStateWarning, match=r"\(-1\.000e-01\)"):
-            rho = steady_state(gen, n=1.0)
-        assert np.abs(rho.rho.reshape(9) - v).max() <= 1e-15
-        assert rho.generator_residual <= 1e-15
-        assert rho.trace_residual <= 1e-15
+        with pytest.raises(DegenerateSteadyStateError,
+                           match=r"smallest eigenvalue -1\.000e-01$"):
+            steady_state(gen, n=1.0)
+
+    def test_overflowed_solve_refused(self):
+        # finite fields near the float64 limit overflow the solve to a
+        # non-finite rho, which has no eigenvalues to judge
+        gen = build_generator(make_atom(1.0, 1.0, 1.0), 1e308, 1e308,
+                              delta2=1e308)
+        with np.errstate(all="ignore"), pytest.raises(
+                DegenerateSteadyStateError, match="smallest eigenvalue nan"):
+            steady_state(gen, n=1.0)
 
 
 class TestCoherence:
