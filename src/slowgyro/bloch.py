@@ -30,6 +30,7 @@ becomes -i(H x 1 - 1 x H^T) vec(rho).
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,10 +101,20 @@ def build_generator(atom: AtomSpecies, rabi_p: complex, rabi_c: complex,
     if rabi_c == 0:
         raise DegenerateEITError("control field is zero: no EIT dressing")
     op, oc = complex(rabi_p), complex(rabi_c)
+    delta2, delta3 = float(delta2), float(delta3)
     doppler = rotation_rate * radius * k_p
-    if not all(map(cmath.isfinite, (delta2, delta3, doppler, op, oc))):
-        raise ParameterError("detunings, Omega*R*k_p and Rabi frequencies "
-                             "must be finite")
+    # the diagonal of M holds delta2 + D, delta3 + D, delta3 - delta2 and
+    # gamma sums; Python floats overflow to inf here without a warning,
+    # where numpy would warn on building M
+    if not all(map(cmath.isfinite, (delta2, delta3, doppler, op, oc,
+                                    delta2 + doppler, delta3 + doppler,
+                                    delta3 - delta2))):
+        raise ParameterError("detunings delta2, delta3, their difference and "
+                             "their sums with Omega*R*k_p, and the Rabi "
+                             "frequencies must be finite")
+    if not math.isfinite(atom.gamma1 + atom.gamma3 + atom.gamma13):
+        raise ParameterError("decay rates gamma1 + gamma3 + gamma13 must "
+                             "sum to a finite number")
     h = np.array([[0.0, op.conjugate(), 0.0],
                   [op, -(delta2 + doppler), oc],
                   [0.0, oc.conjugate(), -(delta3 + doppler)]])

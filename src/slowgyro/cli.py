@@ -1,15 +1,15 @@
 """Command-line surface: config parsing, dispatch and machine-readable output.
 
 COMMANDS is the one description of the subcommands: the config keys each
-reads, its flags, its runner and its output kind.  The parser, the echo of
-an envelope and the refusals all come from it.
+reads, its flags and its runner.  The parser, the echo of an envelope and
+the refusals all come from it.
 
 Configuration is a flat JSON object with namespaced keys carrying units in
 their names (atom.mass_kg, fields.lambda_p_m, geometry.radius_m, ...).
 Unknown keys and non-finite numbers are rejected.  Results are emitted as
 JSON envelopes (every number tagged with its unit, inputs echoed,
-assumptions and warnings listed) or as CSV tables with a header row, dot
-decimals and newline terminated rows.
+assumptions and warnings listed) or as CSV, a table's rows or name/value/
+unit rows, with a header row, dot decimals and newline terminated rows.
 
 Exit status: 0 success, 1 validation or usage error (`config error: <key
 or flag>: ...`, an unknown or malformed flag included), 2 numerical failure.
@@ -39,11 +39,9 @@ from .params import (REFERENCE_WAVELENGTHS, RING_PRESETS, SPECIES_PRESETS,
 from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
                           check_validity, frozen_phases, propagate_allorder,
                           signal_phase)
-from .ringmodes import MediumPreparation, Preparation
+from .ringmodes import MediumPreparation, Preparation, matter_term_gate
 from .sensitivity import (case_study, detector_photons, optimize_snr,
                           sensitivity_budget)
-
-DEFAULT_A_LIST = (0.05, 0.5, 5.0, 50.0, 500.0, 5000.0)
 
 ATOM_PRESETS = {
     name: {"atom.mass_kg": species.mass,
@@ -62,6 +60,7 @@ NOT_FINITE = "must be a finite number (got {!r})"
 _POSITIVE = ("must be a positive number", lambda v: v > 0)
 _NONNEG = ("must be >= 0", lambda v: v >= 0)
 _GRID = ("must be an integer >= 64", lambda v: v >= 64)
+_FORMAT = ("must be json or csv", ("json", "csv").__contains__)
 
 # key -> (python type, (message, predicate) or None, default or None, the
 # field it sets in the AtomSpecies, ProbeControlFields or RingGeometry its
@@ -92,7 +91,7 @@ KEY_SPECS = {
     "grid.n_points": (int, _GRID, 256, None),
     "detection.time_s": (float, _POSITIVE, 1.0, None),
     "output.path": (str, None, None, None),
-    "output.format": (str, None, None, None),
+    "output.format": (str, _FORMAT, None, None),
 }
 DEFAULTS = {key: spec[2] for key, spec in KEY_SPECS.items()
             if spec[2] is not None}
@@ -265,19 +264,25 @@ class ResultEnvelope:
     assumptions: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     version: str = __version__
+    # the results that form a table, in column order; None: not a table
+    columns: list | None = None
 
     def add(self, name: str, value, unit: str):
         self.results[name] = {"value": value, "unit": unit}
 
     def write(self, out, fmt: str = "json"):
-        """Write as JSON, or as CSV name/value/unit rows (fmt "csv")."""
-        if fmt == "csv":
+        """As JSON, or as CSV: a table's rows, else name/value/unit rows."""
+        if fmt == "csv" and self.columns:
+            _write_rows(out, self.columns, ([repr(v) for v in row] for row in
+                        zip(*(self.results[c]["value"] for c in self.columns))))
+        elif fmt == "csv":
             _write_rows(out, ["name", "value", "unit"], (
                 [name, json.dumps(entry["value"]), entry["unit"]]
                 for name, entry in sorted(self.results.items())))
-            return
-        out.write(json.dumps(vars(self), indent=2, sort_keys=True))
-        out.write("\n")
+        else:
+            body = {k: v for k, v in vars(self).items() if v is not None}
+            out.write(json.dumps(body, indent=2, sort_keys=True))
+            out.write("\n")
 
 
 def cmd_steady_state(config: RunConfig, env: ResultEnvelope):
@@ -364,13 +369,12 @@ def _dressed_medium(config: RunConfig) -> RingMedium:
     return medium
 
 
-def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
-                  s_max: float = 1e2, n_steps: int = 200):
-    """SNR versus input probe Rabi frequency, CSV columns
-    (rabi_p0, s, snr_total, snr_matter, snr_light).  Each row holds the
-    saturation frozen at its input value (frozen_phases), so the whole
-    table is one closed-form pass; nothing is written unless every input
-    is valid.  Bounds are refused under the flag that sets them."""
+def snr_table(config: RunConfig, env: ResultEnvelope, s_min: float = 1e-3,
+              s_max: float = 1e2, n_steps: int = 200):
+    """SNR versus input probe Rabi frequency, the table (rabi_p0, s,
+    snr_total, snr_matter, snr_light).  Each row holds the saturation frozen
+    at its input value (frozen_phases), so the table is one closed-form
+    pass.  Bounds are refused under the flag that sets them."""
     for flag, bound in (("--s-min", s_min), ("--s-max", s_max)):
         if not 0 < bound < math.inf:
             raise ConfigError(flag, f"must be a positive finite number "
@@ -392,20 +396,33 @@ def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
                                     geometry.atom_density, medium.scales.v_rec,
                                     config.detection_time, xi, s_values,
                                     medium.loss_parameter))
-    table = np.column_stack((rabi_p0, s_values, np.abs(light + matter) * root,
-                             np.abs(matter) * root, np.abs(light) * root))
-    _write_rows(out, ["rabi_p0_rad_s", "s", "snr_total", "snr_matter",
-                      "snr_light"],
-                ([repr(v) for v in row] for row in table.tolist()))
+    env.columns = ["rabi_p0_rad_s", "s", "snr_total", "snr_matter",
+                   "snr_light"]
+    for name, column in zip(env.columns, (
+            rabi_p0, s_values, np.abs(light + matter) * root,
+            np.abs(matter) * root, np.abs(light) * root)):
+        env.add(name, column.tolist(),
+                "rad/s" if name == "rabi_p0_rad_s" else "dimensionless")
+    gate = "kept" if matter_term_gate(config.preparation) else "gated to zero"
+    env.assumptions.append(f"s frozen at each row's input; matter term {gate}")
 
 
-def cmd_optimize(out, a_list=DEFAULT_A_LIST):
-    """Optimum operating point for each loss parameter, CSV columns
+def cmd_snr_sweep(config: RunConfig, out, s_min: float = 1e-3,
+                  s_max: float = 1e2, n_steps: int = 200):
+    """The snr_table as CSV on the text stream out, once it is complete."""
+    env = ResultEnvelope("snr-sweep", {}, {})
+    snr_table(config, env, s_min, s_max, n_steps)
+    env.write(out, "csv")
+
+
+def cmd_optimize(env: ResultEnvelope,
+                 a_list=(0.05, 0.5, 5.0, 50.0, 500.0, 5000.0)):
+    """Optimum operating point for each loss parameter, the table columns
     (a, s_opt, xi_opt, g_max, f_estimate)."""
-    opts = [(float(a), optimize_snr(float(a))) for a in a_list]
-    _write_rows(out, ["a", "s_opt", "xi_opt", "g_max", "f_estimate"],
-                ([repr(a), repr(o.s_opt), repr(o.xi_opt), repr(o.g_max),
-                  repr(o.f_estimate)] for a, o in opts))
+    opts = [optimize_snr(float(a)) for a in a_list]
+    env.columns = ["a", "s_opt", "xi_opt", "g_max", "f_estimate"]
+    for name in env.columns:
+        env.add(name, [getattr(o, name) for o in opts], "dimensionless")
 
 
 STATE_OF_THE_ART = {
@@ -493,10 +510,8 @@ FLAGS = {
 
 
 class Command(NamedTuple):
-    # run([config,] sink, **flags) writes into its sink: the ResultEnvelope
-    # _run builds, or a text buffer for a CSV command
+    # run([config,] env, **flags) fills the ResultEnvelope _run builds
     run: Callable
-    output: str       # "envelope" (JSON or CSV name/value/unit) or "csv"
     keys: frozenset   # config keys read; empty: the command takes no config
     flags: tuple      # the FLAGS it takes
     help: str
@@ -516,30 +531,29 @@ _MEDIUM = _MODEL - {"atom.gamma3_per_s", "fields.rabi_p0_rad_s",
 _PHASE = _MODEL - {"atom.gamma3_per_s", "detection.time_s"}
 
 COMMANDS = {
-    "steady-state": Command(cmd_steady_state, "envelope", frozenset({
+    "steady-state": Command(cmd_steady_state, frozenset({
         "atom.gamma1_per_s", "atom.gamma3_per_s", "atom.gamma13_per_s",
         "fields.lambda_p_m", "fields.rabi_p0_rad_s", "fields.rabi_c_rad_s",
         "fields.delta2_rad_s", "fields.delta3_rad_s", "geometry.radius_m",
         "geometry.rotation_rate_rad_s"}), ("config", "format", "out"),
         "Lambda-system steady state"),
-    "propagate": Command(cmd_propagate, "envelope", _PHASE, (
+    "propagate": Command(cmd_propagate, _PHASE, (
         "config", "grid", "format", "out", "direction", "profile-out"),
         "all-order beam propagation"),
-    "phase": Command(cmd_phase, "envelope", _PHASE, (
+    "phase": Command(cmd_phase, _PHASE, (
         "config", "grid", "format", "out", "profile-out"),
         "differential Sagnac phase"),
-    "snr-sweep": Command(cmd_snr_sweep, "csv", _MEDIUM | {
+    "snr-sweep": Command(snr_table, _MEDIUM | {
         "geometry.rotation_rate_rad_s", "detection.time_s"}, (
-        "config", "out", "steps", "s-min", "s-max"),
-        "SNR vs probe power (CSV)"),
-    "optimize": Command(cmd_optimize, "csv", frozenset(), ("a-list", "out"),
-                        "optimum (s, xi) vs loss parameter (CSV)"),
-    "omega-min": Command(cmd_omega_min, "envelope",
-                         _MEDIUM | {"detection.time_s"},
+        "config", "format", "out", "steps", "s-min", "s-max"),
+        "SNR vs probe power (table)"),
+    "optimize": Command(cmd_optimize, frozenset(), ("a-list", "format", "out"),
+                        "optimum (s, xi) vs loss parameter (table)"),
+    "omega-min": Command(cmd_omega_min, _MEDIUM | {"detection.time_s"},
                          ("config", "format", "out"),
                          "minimum detectable rotation rate"),
     "omega-min --case": Command(
-        cmd_omega_min_case, "envelope", frozenset(),
+        cmd_omega_min_case, frozenset(),
         ("case", "species", "a", "time", "area", "format", "out"), ""),
 }
 
@@ -614,14 +628,14 @@ def _write_files(files: list):
 
 
 def _run(argv) -> int:
-    """Run one command.  Its runner only computes into its sink; this
-    builds the envelope (inputs, provenance, unread keys, warnings) and
-    writes every output, once the runner has succeeded."""
+    """Run one command.  The runner fills the envelope; this adds inputs,
+    provenance, notes and warnings, and writes every output on success."""
     label, given = _parse(argv)
     spec = COMMANDS[label]
     key, path = "--out", given.pop("out", None)
     fmt = given.pop("format", None)
-    args, unread = (), []
+    env = ResultEnvelope(label.split()[0], {}, {})
+    args, unread, provenance = (), [], []
     if spec.keys:
         raw = read_config(given.pop("config", None))
         if "grid" in given:
@@ -632,32 +646,38 @@ def _run(argv) -> int:
         fmt = fmt or config.output_format
         args = (config,)
         unread = sorted(set(raw) - spec.keys - _CONSUMED)
-    formats = ("json", "csv") if spec.output == "envelope" else ("csv",)
-    fmt = fmt or formats[0]
-    if fmt not in formats:
-        raise ConfigError("output.format", f"slowgyro {label} writes "
-                          f"{' or '.join(formats)}, not {fmt!r}")
+        env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
+        by_source = {}  # one provenance line per source of the keys read
+        for k in sorted(spec.keys & config.sources.keys()):
+            by_source.setdefault(config.sources[k], []).append(k)
+        provenance = [f"{', '.join(keys)}: {source}"
+                      for source, keys in by_source.items()]
+    # the flags it runs with, defaults included; a profile path is no input
+    bound = inspect.signature(spec.run).bind_partial(**given)
+    bound.apply_defaults()
+    bound.arguments.pop("profile_out", None)
+    env.inputs.update(bound.arguments)
     text, files = io.StringIO(), []
     if path is not None and path != "-":
         files.append((key, path, text))
     if "profile_out" in given:
+        provenance.append(f"profile written to {given['profile_out']}")
         files.append(("--profile-out", given["profile_out"], io.StringIO()))
         given["profile_out"] = files[-1][2]
 
-    env = (ResultEnvelope(label.split()[0], {}, {})
-           if spec.output == "envelope" else None)
-    to_stderr = fmt == "csv"  # a JSON envelope lists warnings and notes
+    to_stderr = True  # a failed command reports its warnings on stderr
     with warnings.catch_warnings(record=True) as records:
         warnings.simplefilter("always")
         try:
-            spec.run(*args, text if env is None else env, **given)
-        except BaseException:
-            to_stderr = True  # a failed command reports its warnings on stderr
-            raise
+            spec.run(*args, env, **given)
+            # CSV, a table's default, has nowhere to list warnings and notes
+            fmt = fmt or ("csv" if env.columns else "json")
+            to_stderr = fmt == "csv"
         finally:
-            captured = [f"{w.category.__name__}: {w.message}" for w in records]
+            env.warnings = [f"{w.category.__name__}: {w.message}"
+                            for w in records]
             if to_stderr:
-                for line in captured:
+                for line in env.warnings:
                     print(f"warning: {line}", file=sys.stderr)
 
     notes = [f"set but not read by slowgyro {label}, so not echoed: "
@@ -665,22 +685,8 @@ def _run(argv) -> int:
     if to_stderr:
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
-    if env is not None:
-        if spec.keys:
-            env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
-            by_source = {}  # one provenance line per source of the keys read
-            for k in sorted(spec.keys & config.sources.keys()):
-                by_source.setdefault(config.sources[k], []).append(k)
-            env.assumptions += [f"{', '.join(keys)}: {source}"
-                                for source, keys in by_source.items()]
-        else:  # a command without a config echoes the flags it ran with
-            bound = inspect.signature(spec.run).bind_partial(**given)
-            bound.apply_defaults()
-            env.inputs = dict(bound.arguments)
-        env.assumptions += [f"profile written to {p}" for flag, p, _ in files
-                            if flag == "--profile-out"] + notes
-        env.warnings = captured
-        env.write(text, fmt)
+    env.assumptions += provenance + notes
+    env.write(text, fmt)
     _write_files(files)
     if path is None or path == "-":
         sys.stdout.write(text.getvalue())

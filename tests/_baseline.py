@@ -51,6 +51,8 @@ EXTRA = {
     "default--phase-profile-256": (None, ["phase", "--profile-out",
                                           "{profile}"]),
     "default--snr-sweep-200": (None, ["snr-sweep"]),
+    "default--snr-sweep-json": (None, ["snr-sweep", "--steps", "20",
+                                       "--format", "json"]),
     "default--phase-csv": (None, ["phase", "--grid", "64", "--format",
                                   "csv"]),
     "default--steady-state-csv": (None, ["steady-state", "--format", "csv"]),
@@ -62,6 +64,7 @@ EXTRA = {
                                 "disk"]),
     "optimize": (None, ["optimize"]),
     "optimize-a-list": (None, ["optimize", "--a-list", "0.1,1,10"]),
+    "optimize-json": (None, ["optimize", "--format", "json"]),
 }
 CASES = {f"{config}--{command}": (CONFIGS[config], argv)
          for config in CONFIGS for command, argv in PER_CONFIG.items()}

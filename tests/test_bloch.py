@@ -135,6 +135,21 @@ class TestGeneratorStructure:
         with pytest.raises(ParameterError):
             build_generator(make_atom(gamma13=1e3), **{**args, name: value})
 
+    @pytest.mark.parametrize("rates,kwargs,match", [
+        ((GAMMA, GAMMA, 0.0), dict(delta2=1.7e308, delta3=-1.7e308),
+         "detunings"),
+        ((GAMMA, GAMMA, 0.0), dict(delta2=1.7e308, rotation_rate=1.7e308,
+                                   radius=1.0, k_p=1.0), "detunings"),
+        ((1.7e308, 1.7e308, 0.0), {}, "decay rates"),
+        ((GAMMA, 1.7e308, 1.7e308), {}, "decay rates")])
+    def test_overflowing_generator_refused(self, rates, kwargs, match):
+        # every input is finite, but an entry of M would overflow to inf:
+        # refused before numpy builds M, so no RuntimeWarning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=match):
+                build_generator(make_atom(*rates), 1e5, 1e6, **kwargs)
+
     def test_rotation_enters_only_through_radius(self):
         atom = make_atom(gamma13=1e3)
         gen_spinning = build_generator(atom, 1e5, 1e6, rotation_rate=10.0,

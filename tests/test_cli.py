@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 import slowgyro
 from slowgyro import sensitivity
-from slowgyro.cli import (ATOM_PRESETS, COMMANDS, GEOMETRY_PRESETS,
+from slowgyro.cli import (ATOM_PRESETS, COMMANDS, FLAGS, GEOMETRY_PRESETS,
                           KEY_SPECS, build_parser, cmd_snr_sweep, main,
                           normalize_config, read_config)
 from slowgyro.errors import ConfigError, LowCountWarning
@@ -118,6 +118,22 @@ class TestSteadyState:
         code, _, err = run(["steady-state", "--config", path], capsys)
         assert code == 2
         assert "null space" in err
+
+    @pytest.mark.parametrize("extra,named", [
+        ({"fields.delta2_rad_s": 1.7e308, "fields.delta3_rad_s": -1.7e308},
+         "detunings"),
+        ({"atom.gamma1_per_s": 1.7e308, "atom.gamma3_per_s": 1.7e308},
+         "decay rates")], ids=["detunings", "rates"])
+    def test_overflowing_generator_refused(self, tmp_path, capsys, extra,
+                                           named):
+        # each number is finite, M's diagonal is not: one line, no
+        # RuntimeWarning, and no solve
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(extra))
+        code, out, err = run(["steady-state", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"invalid parameter: {named} ")
+        assert err.count("\n") == 1
 
     def test_ill_conditioned_exit_code(self, tmp_path, capsys):
         # rates ~1 /s against delta2 = 2e11 rad/s: the solve is Hermitian
@@ -346,6 +362,19 @@ class TestSnrSweep:
                             "so not echoed: fields.rabi_p0_rad_s")
         code, out, _ = run(["snr-sweep", "--config", path], capsys)
         assert out == out_path.read_text()
+
+    def test_low_counts_listed_in_the_json_envelope(self, tmp_path, capsys):
+        # the thin beam above: a JSON envelope lists what CSV prints
+        path = write_config(tmp_path, {"geometry.cross_section_m2": 1e-19})
+        code, out, err = run(["snr-sweep", "--config", path, "--format",
+                              "json"], capsys)
+        assert (code, err) == (0, "")
+        env = json.loads(out)
+        [warning] = env["warnings"]
+        assert warning.startswith("LowCountWarning: ")
+        assert env["assumptions"][-1] == (
+            "set but not read by slowgyro snr-sweep, so not echoed: "
+            "fields.rabi_p0_rad_s")
 
     def test_default_config_prints_no_warning(self, capsys):
         for command in (["snr-sweep"], ["optimize"]):
@@ -595,7 +624,6 @@ UNREAD = [
     (["omega-min", "--grid", "100000"], "--grid"),
     (["steady-state", "--grid", "100000"], "--grid"),
     (["snr-sweep", "--grid", "64"], "--grid"),
-    (["snr-sweep", "--format", "json"], "--format"),
 ]
 
 
@@ -718,17 +746,43 @@ def test_unwritable_output_path_is_one_line(tmp_path, capsys, where):
     assert err.count("\n") == 1
 
 
-def test_output_format_the_command_cannot_write_refused(tmp_path, capsys):
-    path = write_config(tmp_path, {"output.format": "json"})
-    code, out, err = run(["snr-sweep", "--config", path], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("config error: output.format: ")
+def test_output_format_key_is_json_or_csv(tmp_path, capsys):
+    # checked at the key like every other key, by every config command;
+    # each format is written by every command, a table included
+    path = write_config(tmp_path, {"output.format": "xml"})
+    for command in sorted({label.split()[0] for label, spec
+                           in COMMANDS.items() if spec.keys}):
+        code, out, err = run([command, "--config", path], capsys)
+        assert (code, out) == (1, ""), command
+        assert err == ("config error: output.format: must be json or csv "
+                       "(got 'xml')\n")
+    path = write_config(tmp_path, {"output.format": "json"}, name="json.json")
+    code, out, _ = run(["snr-sweep", "--config", path, "--steps", "3"],
+                       capsys)
+    assert code == 0
+    assert len(json.loads(out)["results"]["snr_total"]["value"]) == 3
     path = write_config(tmp_path, {"output.format": "csv"}, name="csv.json")
     code, out, _ = run(["snr-sweep", "--config", path, "--steps", "3"],
                        capsys)
     assert code == 0
     assert out.count("\n") == 4
+
+
+TABLE_RUNS = [["snr-sweep", "--steps", "7"], ["optimize", "--a-list", "0.5,50"]]
+
+
+@pytest.mark.parametrize("argv", TABLE_RUNS, ids=lambda argv: argv[0])
+def test_table_json_columns_are_the_csv_cells(capsys, argv):
+    code, default, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert run([*argv, "--format", "csv"], capsys) == (0, default, "")
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    env = json.loads(out)
+    header, *rows = csv.reader(io.StringIO(default))
+    assert env["columns"] == header
+    for j, name in enumerate(header):
+        assert [float(row[j]) for row in rows] == \
+            env["results"][name]["value"], name
 
 
 def test_unread_key_named_and_not_echoed(tmp_path, capsys):
@@ -803,21 +857,41 @@ ROUND_TRIP_CONFIGS = {
 ENVELOPE_RUNS = [["steady-state"], ["propagate", "--direction", "1"],
                  ["propagate", "--direction", "-1"], ["phase"],
                  ["omega-min"]]
+# the runner keyword of each flag; the runner does not take the consumed ones
+FLAG_OF = {spec.get("dest", flag.replace("-", "_")): flag
+           for flag, spec in FLAGS.items()}
+CONSUMED_FLAGS = {"config", "grid", "format", "out", "profile-out"}
+
+
+def _flag_text(value):
+    return ",".join(map(repr, value)) if isinstance(value, list) \
+        else repr(value)
 
 
 @pytest.mark.parametrize("argv,name", [
     (argv, name) for argv in ENVELOPE_RUNS for name in ROUND_TRIP_CONFIGS
     # omega-min refuses a thermal ring
-    if (argv[0], name) != ("omega-min", "thermal")])
+    if (argv[0], name) != ("omega-min", "thermal")]
+    + [(TABLE_RUNS[0], name) for name in ROUND_TRIP_CONFIGS]
+    + [(TABLE_RUNS[1], "default")])
 def test_echo_round_trip(tmp_path, capsys, argv, name):
+    """inputs echo the config keys read and the runner's flags, defaults
+    included: the keys re-run from a file, the flags from the argv."""
+    spec = COMMANDS[argv[0]]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(ROUND_TRIP_CONFIGS[name]))
-    code, out, err = run([*argv, "--config", str(path)], capsys)
+    config = ["--config", str(path)] if spec.keys else []
+    code, out, err = run([*argv, "--format", "json", *config], capsys)
     assert code == 0, err
     first = json.loads(out)
-    assert set(first["inputs"]) == COMMANDS[argv[0]].keys
-    path.write_text(json.dumps(first["inputs"]))
-    code, out, _ = run([*argv, "--config", str(path)], capsys)
+    keys = {k: v for k, v in first["inputs"].items() if k in KEY_SPECS}
+    flags = {k: v for k, v in first["inputs"].items() if k not in KEY_SPECS}
+    assert set(keys) == spec.keys
+    assert {FLAG_OF[k] for k in flags} == set(spec.flags) - CONSUMED_FLAGS
+    path.write_text(json.dumps(keys))
+    code, out, _ = run([argv[0], "--format", "json", *config, *(
+        token for k, v in flags.items()
+        for token in (f"--{FLAG_OF[k]}", _flag_text(v)))], capsys)
     again = json.loads(out)
     assert code == 0
     assert again["inputs"] == first["inputs"]
