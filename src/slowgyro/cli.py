@@ -36,9 +36,9 @@ from .errors import (BoundaryHitError, ConfigError,
                      ParameterError)
 from .params import (REFERENCE_WAVELENGTHS, RING_PRESETS, SPECIES_PRESETS,
                      AtomSpecies, ProbeControlFields, RingGeometry)
-from .propagation import (PropagationGrid, RingMedium, bare_sagnac_phase,
-                          check_validity, frozen_phases, propagate_allorder,
-                          signal_phase)
+from .propagation import (MAX_SATURATION, PropagationGrid, RingMedium,
+                          bare_sagnac_phase, check_validity, frozen_phases,
+                          propagate_allorder, signal_phase)
 from .ringmodes import MediumPreparation, Preparation, matter_term_gate
 from .sensitivity import (case_study, detector_photons, optimize_snr,
                           sensitivity_budget)
@@ -60,7 +60,6 @@ NOT_FINITE = "must be a finite number (got {!r})"
 _POSITIVE = ("must be a positive number", lambda v: v > 0)
 _NONNEG = ("must be >= 0", lambda v: v >= 0)
 _GRID = ("must be an integer >= 64", lambda v: v >= 64)
-_FORMAT = ("must be json or csv", ("json", "csv").__contains__)
 
 # key -> (python type, (message, predicate) or None, default or None, the
 # field it sets in the AtomSpecies, ProbeControlFields or RingGeometry its
@@ -90,8 +89,6 @@ KEY_SPECS = {
     "preparation.temperature_K": (float, _NONNEG, 0.0, None),
     "grid.n_points": (int, _GRID, 256, None),
     "detection.time_s": (float, _POSITIVE, 1.0, None),
-    "output.path": (str, None, None, None),
-    "output.format": (str, _FORMAT, None, None),
 }
 DEFAULTS = {key: spec[2] for key, spec in KEY_SPECS.items()
             if spec[2] is not None}
@@ -106,8 +103,6 @@ class RunConfig:
     grid_points: int
     detection_time: float
     echo: dict = field(default_factory=dict)
-    output_path: str | None = None
-    output_format: str | None = None
     # key -> where its value came from, for each key the config left unset
     # that a preset, the gamma13 default or the full ring filled
     sources: dict = field(default_factory=dict)
@@ -218,14 +213,10 @@ def normalize_config(raw: dict) -> RunConfig:
                          kind=kind,
                          temperature=values["preparation.temperature_K"])
 
-    echo = {k: values[k] for k in sorted(values)
-            if k not in ("output.path", "output.format")}
     return RunConfig(**built, preparation=preparation,
                      grid_points=values["grid.n_points"],
                      detection_time=values["detection.time_s"],
-                     echo=echo,
-                     output_path=values.get("output.path"),
-                     output_format=values.get("output.format"),
+                     echo={k: values[k] for k in sorted(values)},
                      sources=sources)
 
 
@@ -241,8 +232,6 @@ def read_config(path: str | None) -> dict:
                           f"cannot read {path}: {err.strerror}") from None
     except json.JSONDecodeError as err:
         raise ConfigError("<config>", f"invalid JSON: {err}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
     return raw
 
 
@@ -376,9 +365,9 @@ def snr_table(config: RunConfig, env: ResultEnvelope, s_min: float = 1e-3,
     at its input value (frozen_phases), so the table is one closed-form
     pass.  Bounds are refused under the flag that sets them."""
     for flag, bound in (("--s-min", s_min), ("--s-max", s_max)):
-        if not 0 < bound < math.inf:
-            raise ConfigError(flag, f"must be a positive finite number "
-                              f"(got {bound!r})")
+        if not 0 < bound <= MAX_SATURATION:
+            raise ConfigError(flag, f"must be a positive number <= "
+                              f"{MAX_SATURATION:g} (got {bound!r})")
     if s_max < s_min:
         raise ConfigError("--s-max", f"must be >= --s-min "
                           f"(got {s_max!r} < {s_min!r})")
@@ -488,13 +477,12 @@ def _a_list(text: str) -> list:
 
 
 # every flag and its argparse arguments.  A runner takes the flags given
-# as keywords, except config, grid, format and out, which _run consumes;
-# for profile-out it gets a buffer that _run writes to the path.
+# as keywords, except config, format and out, which _run consumes; for
+# profile-out it gets a buffer that _run writes to the path.
 FLAGS = {
     "config": {"help": "JSON config file (flat namespaced keys)"},
-    "grid": {"type": int, "help": "override grid.n_points"},
     "format": {"choices": ("json", "csv")},
-    "out": {"help": "output path (default: config output.path, else stdout)"},
+    "out": {"help": "output path (default: stdout)"},
     "direction": {"type": int, "choices": (1, -1)},
     "profile-out": {"help": "write per-x profile CSV here"},
     "steps": {"type": _count, "dest": "n_steps"},
@@ -518,9 +506,8 @@ class Command(NamedTuple):
 
 
 # keys a config command consumes without echoing them: the presets expand
-# into echoed keys, the output keys say where and how to write
-_CONSUMED = frozenset({"atom.preset", "geometry.preset", "output.path",
-                       "output.format"})
+# into echoed keys
+_CONSUMED = frozenset({"atom.preset", "geometry.preset"})
 _MODEL = frozenset(KEY_SPECS) - _CONSUMED
 # what RingMedium and check_validity read.  preparation.temperature_K
 # changes no number, but a thermal_ring is refused without it, so an echo
@@ -538,10 +525,10 @@ COMMANDS = {
         "geometry.rotation_rate_rad_s"}), ("config", "format", "out"),
         "Lambda-system steady state"),
     "propagate": Command(cmd_propagate, _PHASE, (
-        "config", "grid", "format", "out", "direction", "profile-out"),
+        "config", "format", "out", "direction", "profile-out"),
         "all-order beam propagation"),
     "phase": Command(cmd_phase, _PHASE, (
-        "config", "grid", "format", "out", "profile-out"),
+        "config", "format", "out", "profile-out"),
         "differential Sagnac phase"),
     "snr-sweep": Command(snr_table, _MEDIUM | {
         "geometry.rotation_rate_rad_s", "detection.time_s"}, (
@@ -632,18 +619,12 @@ def _run(argv) -> int:
     provenance, notes and warnings, and writes every output on success."""
     label, given = _parse(argv)
     spec = COMMANDS[label]
-    key, path = "--out", given.pop("out", None)
-    fmt = given.pop("format", None)
+    path, fmt = given.pop("out", None), given.pop("format", None)
     env = ResultEnvelope(label.split()[0], {}, {})
     args, unread, provenance = (), [], []
     if spec.keys:
         raw = read_config(given.pop("config", None))
-        if "grid" in given:
-            raw["grid.n_points"] = given.pop("grid")
         config = normalize_config(raw)
-        if path is None:
-            key, path = "output.path", config.output_path
-        fmt = fmt or config.output_format
         args = (config,)
         unread = sorted(set(raw) - spec.keys - _CONSUMED)
         env.inputs = {k: config.echo[k] for k in sorted(spec.keys)}
@@ -659,7 +640,7 @@ def _run(argv) -> int:
     env.inputs.update(bound.arguments)
     text, files = io.StringIO(), []
     if path is not None and path != "-":
-        files.append((key, path, text))
+        files.append(("--out", path, text))
     if "profile_out" in given:
         provenance.append(f"profile written to {given['profile_out']}")
         files.append(("--profile-out", given["profile_out"], io.StringIO()))

@@ -94,6 +94,14 @@ class ProbeControlFields:
         if not all(map(math.isfinite, (self.k_c_parallel, self.delta2,
                                        self.delta3))):
             raise ParameterError("k_c_parallel, delta2 and delta3 must be finite")
+        # the saturation and the mixing angle divide by rabi_c^2; squares
+        # overflow above about 1.34e154 and underflow below about 2.2e-162
+        if not (self.rabi_p0 * self.rabi_p0 < math.inf
+                and 0.0 < self.rabi_c * self.rabi_c < math.inf):
+            raise ParameterError(
+                f"Rabi frequencies must have a finite square, and rabi_c a "
+                f"nonzero one (got rabi_p0 = {self.rabi_p0:g}, rabi_c = "
+                f"{self.rabi_c:g} rad/s)")
 
     @property
     def k_p(self) -> float:

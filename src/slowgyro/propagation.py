@@ -58,6 +58,9 @@ __all__ = [
 
 MAX_STEP_CHANGE = 0.1   # per-step |d ln|rabi_p|| above which the step fails
 _MAX_REFINE = 64        # refinement floor: give up past this many substeps
+# the largest saturation s the model answers for: every saturating phase
+# rate divides by (1+s)^3, which overflows a float near s = 5.6e102
+MAX_SATURATION = 1e100
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,11 @@ class RingMedium:
         self.geometry = geometry
         self.scales = derived_scales(atom, fields, geometry)
         self.tan2_theta = self.scales.g2rho / fields.rabi_c**2
+        if not self.tan2_theta < math.inf:
+            raise ParameterError(
+                f"tan^2(theta) = g2rho / rabi_c^2 overflows (g2rho = "
+                f"{self.scales.g2rho:g} rad^2/s^2, rabi_c = "
+                f"{fields.rabi_c:g} rad/s)")
         self.xi = (math.inf if self.tan2_theta == 0.0
                    else c / (self.scales.v_rec * self.tan2_theta))
         self.kappa = atom.gamma13 * self.tan2_theta / c
@@ -179,12 +187,13 @@ class PropagationResult:
 def check_validity(medium: RingMedium, prep: MediumPreparation, mode: str):
     """Refuse (ParameterError) or warn where the line-center EIT model
     does not answer for this medium.  mode is "weak", "saturating"
-    (all-order and frozen-s) or "sensitivity" (the matter-wave SNR).
-    Refuses eta != 1 outside weak mode, and a preparation that gates the
-    matter term to zero in sensitivity mode.  Warns for a nonzero detuning
-    or rabi_c^2 < 100 gamma13 gamma1 (EITConditionWarning), for xi < 1,
-    beyond the critical mixing angle (UserWarning), and in weak mode for
-    s(0) > 0.01 (WeakFieldWarning)."""
+    (all-order), "frozen-s" (saturation given, not the fields' s(0)) or
+    "sensitivity" (the matter-wave SNR).  Refuses eta != 1 outside weak
+    mode, s(0) above MAX_SATURATION in weak and saturating mode, and a
+    preparation that gates the matter term to zero in sensitivity mode.
+    Warns for a nonzero detuning or rabi_c^2 < 100 gamma13 gamma1
+    (EITConditionWarning), for xi < 1, beyond the critical mixing angle
+    (UserWarning), and in weak mode for s(0) > 0.01 (WeakFieldWarning)."""
     if mode != "weak" and not abs(medium.scales.eta - 1.0) <= 1e-9:
         raise ParameterError(
             f"the {mode} model requires eta = 1 (perpendicular control), "
@@ -194,6 +203,13 @@ def check_validity(medium: RingMedium, prep: MediumPreparation, mode: str):
             f"preparation {prep.kind.value} gates the matter term to zero; "
             "the matter-wave sensitivity needs a superfluid_ring")
     fields, atom = medium.fields, medium.atom
+    # s(0) = (rabi_p0/rabi_c)^2 compared without squaring, which may overflow
+    if mode in ("weak", "saturating") and not (
+            fields.rabi_p0 <= math.sqrt(MAX_SATURATION) * fields.rabi_c):
+        raise ParameterError(
+            f"input saturation s(0) = (rabi_p0/rabi_c)^2 must be <= "
+            f"{MAX_SATURATION:g}, where (1+s)^3 stays finite (got rabi_p0 "
+            f"= {fields.rabi_p0:g}, rabi_c = {fields.rabi_c:g} rad/s)")
     if fields.delta2 != 0.0 or fields.delta3 != 0.0:
         warnings.warn("nonzero detuning: the phase rates are line-center "
                       "results", EITConditionWarning, stacklevel=3)
@@ -240,7 +256,7 @@ def frozen_phases(medium: RingMedium, prep: MediumPreparation, s):
     saturation frozen at s along the whole medium: each phase is its rate
     times L_M.  s may be a scalar or an array.  Requires full momentum
     transfer (eta = 1), where the saturating rates hold."""
-    check_validity(medium, prep, "saturating")
+    check_validity(medium, prep, "frozen-s")
     light_rate, matter_rate = _phase_rates(medium, s, matter_term_gate(prep))
     length = medium.geometry.medium_length
     return light_rate * length, matter_rate * length

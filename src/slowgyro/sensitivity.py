@@ -71,7 +71,14 @@ def detector_photons(cross_section: float, density: float, v_rec: float,
             and np.all((0 <= s) & (s < math.inf))):
         raise ParameterError("detector_photons needs finite arguments, "
                              "xi > 0 and all else >= 0")
-    n_d = cross_section * density * v_rec * t * xi * s * math.exp(-2.0 * a / xi)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        n_d = (cross_section * density * v_rec * t * xi * s
+               * math.exp(-2.0 * a / xi))
+    if not np.all(np.isfinite(n_d)):
+        raise ParameterError(
+            f"the detector count F*rho*v_rec*t*xi*s*e^(-2a/xi) overflows "
+            f"(F = {cross_section:g} m^2, rho = {density:g} /m^3, v_rec = "
+            f"{v_rec:g} m/s, t = {t:g} s, xi = {xi:g}, s up to {s.max():g})")
     low = int(np.count_nonzero(n_d < 1.0))
     if low:
         warnings.warn(f"n_D < 1 at {low} of {n_d.size} saturations "
@@ -104,7 +111,13 @@ def snr(rotation_rate: float, area: float, cross_section: float,
             and all(0 < x < math.inf for x in positive)):
         raise ParameterError("snr needs finite arguments and area, F, rho, "
                              "v_rec, t, mass > 0")
-    flux = math.sqrt(cross_section * density * v_rec * t)
+    quanta = cross_section * density * v_rec * t
+    if not 0.0 < quanta < math.inf:
+        raise ParameterError(
+            f"the atom flux F*rho*v_rec*t overflows or underflows to 0 (F = "
+            f"{cross_section:g} m^2, rho = {density:g} /m^3, v_rec = "
+            f"{v_rec:g} m/s, t = {t:g} s)")
+    flux = math.sqrt(quanta)
     return (rotation_rate * area * mass / hbar) * flux * shape_factor(s, xi, a)
 
 

@@ -38,14 +38,16 @@ CONFIGS = {
     "dense": {"geometry.atom_density_per_m3": 1e24},
     "narrow": {"geometry.cross_section_m2": 1e-22},
 }
+COARSE = {"grid.n_points": 64}
+# command -> (the keys it adds to each config, its argv)
 PER_CONFIG = {
-    "steady-state": ["steady-state"],
-    "propagate": ["propagate", "--grid", "64", "--profile-out", "{profile}"],
-    "propagate-ccw": ["propagate", "--direction", "-1", "--grid", "64",
-                      "--profile-out", "{profile}"],
-    "phase": ["phase", "--grid", "64"],
-    "snr-sweep": ["snr-sweep", "--steps", "20"],
-    "omega-min": ["omega-min"],
+    "steady-state": ({}, ["steady-state"]),
+    "propagate": (COARSE, ["propagate", "--profile-out", "{profile}"]),
+    "propagate-ccw": (COARSE, ["propagate", "--direction", "-1",
+                               "--profile-out", "{profile}"]),
+    "phase": (COARSE, ["phase"]),
+    "snr-sweep": ({}, ["snr-sweep", "--steps", "20"]),
+    "omega-min": ({}, ["omega-min"]),
 }
 EXTRA = {
     "default--phase-profile-256": (None, ["phase", "--profile-out",
@@ -53,8 +55,7 @@ EXTRA = {
     "default--snr-sweep-200": (None, ["snr-sweep"]),
     "default--snr-sweep-json": (None, ["snr-sweep", "--steps", "20",
                                        "--format", "json"]),
-    "default--phase-csv": (None, ["phase", "--grid", "64", "--format",
-                                  "csv"]),
+    "default--phase-csv": (COARSE, ["phase", "--format", "csv"]),
     "default--steady-state-csv": (None, ["steady-state", "--format", "csv"]),
     "case-gupta": (None, ["omega-min", "--case", "gupta"]),
     "case-gupta-disk": (None, ["omega-min", "--case", "gupta", "--area",
@@ -66,8 +67,9 @@ EXTRA = {
     "optimize-a-list": (None, ["optimize", "--a-list", "0.1,1,10"]),
     "optimize-json": (None, ["optimize", "--format", "json"]),
 }
-CASES = {f"{config}--{command}": (CONFIGS[config], argv)
-         for config in CONFIGS for command, argv in PER_CONFIG.items()}
+CASES = {f"{config}--{command}": ({**(CONFIGS[config] or {}), **keys} or None,
+                                  argv)
+         for config in CONFIGS for command, (keys, argv) in PER_CONFIG.items()}
 CASES.update(EXTRA)
 
 

@@ -230,19 +230,21 @@ class TestPhase:
             assert prop[name] == phase[name], name
 
     def test_profile_out_and_grid_override(self, tmp_path, capsys):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, {"grid.n_points": 96})
         profile = tmp_path / "profile.csv"
-        code, out, _ = run(["propagate", "--config", path, "--grid", "96",
+        code, out, _ = run(["propagate", "--config", path,
                             "--profile-out", str(profile)], capsys)
         assert code == 0
         with open(profile) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 96
 
-    def test_zero_grid_override_rejected(self, capsys):
-        code, _, err = run(["phase", "--grid", "0"], capsys)
+    def test_zero_grid_override_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"grid.n_points": 0})
+        code, _, err = run(["phase", "--config", path], capsys)
         assert code == 1
-        assert "grid.n_points" in err
+        assert err == ("config error: grid.n_points: must be an integer "
+                       ">= 64 (got 0)\n")
 
     def test_csv_format_envelope(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -254,20 +256,23 @@ class TestPhase:
         assert "delta_phi_sig" in names
 
     def test_output_keys_in_config(self, tmp_path, capsys):
-        target = tmp_path / "result.json"
-        path = write_config(tmp_path, {"output.path": str(target),
-                                       "output.format": "json"})
-        code, out, _ = run(["phase", "--config", path], capsys)
-        assert code == 0
-        assert out == ""
-        env = json.loads(target.read_text())
-        assert "delta_phi_sig" in env["results"]
+        # where and how to write are the --out and --format flags, so a
+        # shared config cannot send every command to one file
+        for key, value in (("output.path", str(tmp_path / "result.json")),
+                           ("output.format", "json")):
+            path = write_config(tmp_path, {key: value})
+            for command in sorted({label.split()[0] for label, spec
+                                   in COMMANDS.items() if spec.keys}):
+                code, out, err = run([command, "--config", path], capsys)
+                assert (code, out) == (1, ""), command
+                assert err == f"config error: {key}: unknown key\n"
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_bad_output_format_in_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"output.format": "xml"})
         code, _, err = run(["phase", "--config", path], capsys)
         assert code == 1
-        assert "output.format" in err
+        assert err == "config error: output.format: unknown key\n"
 
     def test_preset_values_labeled_in_assumptions(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -517,7 +522,7 @@ class TestCommandsAgree:
                                               zero_density):
         k_p = 2.0 * math.pi / ATOM_PRESETS["rb87"]["fields.lambda_p_m"]
         raw = {"fields.k_c_parallel_per_m": (1.0 - eta) * k_p,
-               "preparation.kind": kind}
+               "preparation.kind": kind, "grid.n_points": 64}
         if kind == "thermal_ring":
             raw["preparation.temperature_K"] = 1e-6
         if zero_dipole:
@@ -533,8 +538,7 @@ class TestCommandsAgree:
                    "phase": eta != 1.0,
                    "snr-sweep": eta != 1.0 or uncoupled,
                    "omega-min": eta != 1.0 or gated or uncoupled}
-        extra = {"propagate": ["--grid", "64"], "phase": ["--grid", "64"],
-                 "snr-sweep": ["--steps", "5"]}
+        extra = {"snr-sweep": ["--steps", "5"]}
         for command, refuse in refused.items():
             code, _, err = _main([command, "--config", str(path)]
                                  + extra.get(command, []))
@@ -595,14 +599,22 @@ class TestWideConfigs:
                   "fields.delta3_rad_s": -3.42e9})
     @example(raw={"atom.gamma1_per_s": 1, "atom.gamma3_per_s": 1,
                   "atom.gamma13_per_s": 1e5, "fields.delta3_rad_s": 1e11})
+    # squares that overflow: rabi_c^2 in the mixing angle, e^(2 Re y) in
+    # the kernel
+    @example(raw={"fields.rabi_c_rad_s": 1e155})
+    @example(raw={"fields.rabi_p0_rad_s": 1e155})
+    # (1+s)^3 overflows at s(0) = 1e224; F rho v_rec t overflows
+    @example(raw={"fields.rabi_p0_rad_s": 1e120})
+    @example(raw={"detection.time_s": 1e300})
     def test_answer_or_refusal(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("wide") / "config.json"
         path.write_text(json.dumps(raw))
         for command in (["steady-state"], ["propagate", "--direction", "1"],
                         ["propagate", "--direction", "-1"], ["phase"],
-                        ["omega-min"]):
+                        ["snr-sweep", "--format", "json"], ["omega-min"]):
             code, out, err = _main(command + ["--config", str(path)])
             assert code in (0, 1, 2), (command, err)
+            assert "RuntimeWarning" not in out + err, command
             if code != 0:
                 continue
             results = json.loads(out)["results"]
@@ -624,13 +636,15 @@ UNREAD = [
     (["omega-min", "--grid", "100000"], "--grid"),
     (["steady-state", "--grid", "100000"], "--grid"),
     (["snr-sweep", "--grid", "64"], "--grid"),
+    (["phase", "--grid", "64"], "--grid"),
 ]
 
 
 @pytest.mark.parametrize("argv,flag", UNREAD,
                          ids=[" ".join(argv) for argv, _ in UNREAD])
 def test_unread_flag_refused(capsys, argv, flag):
-    # each flag is accepted by the parser but not read by the command
+    # each flag is one the command does not take; --grid no command takes,
+    # since grid.n_points is a config key
     code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""
@@ -660,6 +674,7 @@ USAGE_ERRORS = [
     (["snr-sweep", "--s-max", "0"], "--s-max"),
     (["snr-sweep", "--s-min", "5", "--s-max", "1"], "--s-max"),
     (["snr-sweep", "--s-min", "500"], "--s-max"),  # above the default s_max
+    (["snr-sweep", "--s-max", "1e300"], "--s-max"),  # (1+s)^3 overflows
     (["omega-min", "--case", "gupta", "--time", "0"], "--time"),
     (["omega-min", "--case", "gupta", "--a", "-1"], "--a"),
 ]
@@ -714,6 +729,42 @@ def test_overflowing_grid_refused(tmp_path, capsys):
     assert err.startswith("config error: grid.n_points: ")
 
 
+# finite inputs whose derived numbers leave the float range: each is
+# refused with exit 1 and one line naming its inputs, and no RuntimeWarning
+FLOAT_RANGE = [
+    (["phase"], {"fields.rabi_c_rad_s": 1e155},
+     "config error: fields.*: Rabi frequencies must have a finite square"),
+    (["propagate"], {"fields.rabi_p0_rad_s": 1e155},
+     "config error: fields.*: Rabi frequencies must have a finite square"),
+    (["omega-min"], {"fields.rabi_c_rad_s": 1e-160},
+     "invalid parameter: tan^2(theta) = g2rho / rabi_c^2 overflows"),
+    (["phase"], {"fields.rabi_p0_rad_s": 1e120},
+     "invalid parameter: input saturation s(0)"),
+    (["omega-min"], {"detection.time_s": 1e300},
+     "invalid parameter: the atom flux F*rho*v_rec*t overflows"),
+    (["omega-min"], {"geometry.atom_density_per_m3": 1e-300,
+                     "geometry.cross_section_m2": 1e-30},
+     "invalid parameter: the atom flux F*rho*v_rec*t overflows or "
+     "underflows to 0"),
+    (["snr-sweep"], {"detection.time_s": 1e300},
+     "invalid parameter: the detector count"),
+    (["omega-min", "--case", "gupta", "--time", "1e300"], None,
+     "invalid parameter: the atom flux F*rho*v_rec*t overflows"),
+]
+
+
+@pytest.mark.parametrize("argv,raw,text", FLOAT_RANGE,
+                         ids=[" ".join(argv) + f" {raw}"
+                              for argv, raw, _ in FLOAT_RANGE])
+def test_float_range_input_refused(tmp_path, capsys, argv, raw, text):
+    if raw is not None:
+        argv = [*argv, "--config", write_config(tmp_path, raw)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(text)
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("existed", [False, True])
 @pytest.mark.parametrize("bad", ["--out", "--profile-out"])
 def test_unwritable_path_leaves_every_file_as_it_was(tmp_path, capsys, bad,
@@ -734,35 +785,30 @@ def test_unwritable_path_leaves_every_file_as_it_was(tmp_path, capsys, bad,
         assert good.read_text() == "previous\n"
 
 
-@pytest.mark.parametrize("where", ["--out", "--profile-out", "output.path"])
+@pytest.mark.parametrize("where", ["--out", "--profile-out"])
 def test_unwritable_output_path_is_one_line(tmp_path, capsys, where):
     target = str(tmp_path / "missing" / "result.txt")
-    args = ["--config", write_config(tmp_path, {where: target})] \
-        if where == "output.path" else [where, target]
-    code, out, err = run(["phase", *args], capsys)
+    code, out, err = run(["phase", where, target], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith(f"config error: {where}: cannot write {target}: ")
     assert err.count("\n") == 1
 
 
-def test_output_format_key_is_json_or_csv(tmp_path, capsys):
-    # checked at the key like every other key, by every config command;
-    # each format is written by every command, a table included
-    path = write_config(tmp_path, {"output.format": "xml"})
-    for command in sorted({label.split()[0] for label, spec
-                           in COMMANDS.items() if spec.keys}):
-        code, out, err = run([command, "--config", path], capsys)
-        assert (code, out) == (1, ""), command
-        assert err == ("config error: output.format: must be json or csv "
-                       "(got 'xml')\n")
-    path = write_config(tmp_path, {"output.format": "json"}, name="json.json")
-    code, out, _ = run(["snr-sweep", "--config", path, "--steps", "3"],
+def test_format_flag_is_json_or_csv(capsys):
+    # checked at the flag by every command; a table writes either format
+    for label in COMMANDS:
+        argv = label.split() + (["gupta"] if "--case" in label else [])
+        code, out, err = run([*argv, "--format", "xml"], capsys)
+        assert (code, out) == (1, ""), label
+        assert err.startswith("config error: --format: invalid choice: "
+                              "'xml'")
+        assert err.count("\n") == 1
+    code, out, _ = run(["snr-sweep", "--steps", "3", "--format", "json"],
                        capsys)
     assert code == 0
     assert len(json.loads(out)["results"]["snr_total"]["value"]) == 3
-    path = write_config(tmp_path, {"output.format": "csv"}, name="csv.json")
-    code, out, _ = run(["snr-sweep", "--config", path, "--steps", "3"],
+    code, out, _ = run(["snr-sweep", "--steps", "3", "--format", "csv"],
                        capsys)
     assert code == 0
     assert out.count("\n") == 4
@@ -860,7 +906,7 @@ ENVELOPE_RUNS = [["steady-state"], ["propagate", "--direction", "1"],
 # the runner keyword of each flag; the runner does not take the consumed ones
 FLAG_OF = {spec.get("dest", flag.replace("-", "_")): flag
            for flag, spec in FLAGS.items()}
-CONSUMED_FLAGS = {"config", "grid", "format", "out", "profile-out"}
+CONSUMED_FLAGS = {"config", "format", "out", "profile-out"}
 
 
 def _flag_text(value):
@@ -929,8 +975,7 @@ UNREAD_VALUES = {
     "grid.n_points": st.integers(64, 512),
     "detection.time_s": st.floats(1e-3, 10.0),
 }
-NOT_MODEL_KEYS = {"atom.preset", "geometry.preset", "output.path",
-                  "output.format"}
+NOT_MODEL_KEYS = {"atom.preset", "geometry.preset"}
 READ_SET_RUNS = [["steady-state"], ["propagate", "--direction", "-1"],
                  ["phase"], ["snr-sweep", "--steps", "5"], ["omega-min"]]
 
